@@ -25,7 +25,7 @@ from .inputs import CLI_SUBCOMMANDS, DESIGNS, Spec, specs
 from .tracing import Tracer
 from .workloads import WORKLOADS, Context, Recorder
 
-SETUP_PROBES = 3      # fresh interpreters per setup_s measurement
+SETUP_PROBES = 5      # fresh interpreters per setup_s measurement
 IMPORT_PROBES = 3     # `python -X importtime` runs per traced run
 MIN_OPS = stats.TAIL_BEYOND + 1   # so that the tail percentile always exists
 CAP_FACTOR = 4        # a run stops early once it has taken CAP_FACTOR × --seconds

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from nadphase import engine  # noqa: E402
+from nadphase import engine, sweep  # noqa: E402
 from nadphase.paths import PrecessingPath, make_kernel  # noqa: E402
 
 from nadbench import inputs, runner, stats, tracing, workloads  # noqa: E402
@@ -105,3 +105,19 @@ def test_exits_nonzero_without_the_program_sources(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert proc.returncode != 0
     assert proc.stdout == ""
+
+
+def test_sweep_inputs_keep_clear_of_a_tangent_pole_at_the_start():
+    for p in _first("sweep-nmr", 11, 400):
+        q = p["s"] / p["x_f"]
+        assert abs(q - math.floor(q) - 0.5) >= inputs.POLE_GAP - 1e-9
+        assert 0.05 <= p["x_f"] <= 0.6
+
+
+@pytest.mark.xfail(strict=True, reason="epsilon_sweep misses a tangent pole just below "
+                   "x = 0; the sweep-nmr inputs keep clear of it (inputs.POLE_GAP)")
+def test_epsilon_sweep_next_to_a_tangent_pole_at_the_start():
+    cfg = sweep.SweepConfig(theta=math.radians(34.44635007188134), x_f=0.3478737918937335,
+                            s=4.0, grid=512)
+    curve = sweep.figure1_dataset(cfg)
+    assert np.max(np.abs(curve.eps - sweep.epsilon_unwrap(cfg, curve.xs))) <= workloads.EPSILON_TOL
