@@ -51,6 +51,8 @@ class RunConfig:
             raise ConfigError(f"tol must lie in (0, 1e-4], got {self.tol}")
         if self.grid < 2:
             raise ConfigError(f"grid must be >= 2, got {self.grid}")
+        if self.tau is not None and not 0 <= self.tau < math.inf:
+            raise ConfigError(f"tau must be finite and non-negative, got {self.tau}")
         if self.command == "evolve" and self.x is not None and self.x_f is not None:
             raise ConfigError("evolve takes x, not x_f")
         if self.command == "phase-sweep" and self.x is not None:
@@ -73,7 +75,11 @@ def _cmd_eigen(cfg: RunConfig) -> int:
         "v_minus": [[v.real, v.imag] for v in v_minus],
     }
     if cfg.omega is not None:
-        frame = coupling_at(PrecessingPath(R=cfg.r, theta=theta, omega=cfg.omega), 0.0)
+        try:
+            path = PrecessingPath(R=cfg.r, theta=theta, omega=cfg.omega)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        frame = coupling_at(path, 0.0)
         payload.update({
             "omega": cfg.omega,
             "gamma_rate_plus": frame.gamma_rate_plus,
@@ -95,14 +101,17 @@ def _cmd_evolve(cfg: RunConfig) -> int:
         raise ConfigError("evolve requires --tau")
     if cfg.out is None:
         raise ConfigError("evolve requires --out")
-    if cfg.path_file:
-        path = load_path_csv(cfg.path_file)
-        if cfg.tau > path.duration:
-            raise ConfigError(f"tau = {cfg.tau} exceeds path duration {path.duration}")
-    else:
-        if cfg.theta_deg is None or cfg.x is None:
-            raise ConfigError("evolve requires --theta-deg and --x (or --path-file)")
-        path = PrecessingPath.dimensionless(cfg.x, math.radians(cfg.theta_deg))
+    if not cfg.path_file and (cfg.theta_deg is None or cfg.x is None):
+        raise ConfigError("evolve requires --theta-deg and --x (or --path-file)")
+    try:
+        if cfg.path_file:
+            path = load_path_csv(cfg.path_file)
+        else:
+            path = PrecessingPath.dimensionless(cfg.x, math.radians(cfg.theta_deg))
+    except ValueError as exc:  # a malformed file or an out-of-range parameter
+        raise ConfigError(str(exc)) from exc
+    if cfg.path_file and cfg.tau > path.duration:
+        raise ConfigError(f"tau = {cfg.tau} exceeds path duration {path.duration}")
     traj = engine.evolve(make_kernel(path), cfg.tau, tol=cfg.tol)
     write_csv(cfg.out, engine.TRAJECTORY_HEADER, engine.trajectory_table(traj))
     return 0

@@ -97,13 +97,19 @@ class Trajectory:
     def rho(self, t):
         """Unwrapped non-adiabatic phase correction ρ(t) = arg S(t), ρ(0) = 0."""
         S, _ = self.amplitudes(t)
+        return self._unwrap(t, S)
+
+    def _unwrap(self, t, S):
         principal = np.arctan2(np.imag(S), np.real(S))
         reference = np.interp(np.asarray(t, dtype=float), self.ts, self._rho_nodes)
         return principal + 2 * np.pi * np.round((reference - principal) / (2 * np.pi))
 
     def unitarity_defect(self, t):
-        S, I = self.amplitudes(t)
-        return np.abs(np.abs(S) ** 2 + np.abs(I) ** 2 - 1.0)
+        return _defect(*self.amplitudes(t))
+
+
+def _defect(S, I):
+    return np.abs(np.abs(S) ** 2 + np.abs(I) ** 2 - 1.0)
 
 
 def evolve(kernel: CouplingKernel, t_end: float, tol: float = 1e-10) -> Trajectory:
@@ -116,6 +122,8 @@ def evolve(kernel: CouplingKernel, t_end: float, tol: float = 1e-10) -> Trajecto
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
 
     def rhs(t, y):
         F = kernel.F(t)
@@ -187,18 +195,7 @@ def sliced_propagator(path, t: float, n: int) -> SlicedPropagatorResult:
     if n < 1:
         raise ValueError(f"need n >= 1 slices, got {n}")
     eps = t / n
-    tk = eps * np.arange(1, n + 1)
-    theta = np.empty(n)
-    phi = np.empty(n)
-    R = np.empty(n)
-    if path.kind == "precessing":
-        theta[:] = path.theta
-        phi[:] = path.omega * tk
-        R[:] = path.R
-    else:
-        for i, u in enumerate(tk):
-            theta[i], phi[i] = path.angles(u)
-            R[i] = path.magnitude(u)
+    theta, phi, R, _, _ = path.state(eps * np.arange(1, n + 1))
     H = np.empty((n, 2, 2), dtype=complex)
     H[:, 0, 0] = R * np.cos(theta)
     H[:, 0, 1] = R * np.sin(theta) * np.exp(-1j * phi)
@@ -272,9 +269,8 @@ def trajectory_table(traj: Trajectory) -> np.ndarray:
     columns matching TRAJECTORY_HEADER."""
     ts = traj.ts
     S, I = traj.amplitudes(ts)
-    rho = traj.rho(ts)
     return np.column_stack([
-        ts, S.real, S.imag, I.real, I.imag, rho, np.abs(S), traj.unitarity_defect(ts),
+        ts, S.real, S.imag, I.real, I.imag, traj._unwrap(ts, S), np.abs(S), _defect(S, I),
     ])
 
 

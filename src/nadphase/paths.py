@@ -12,7 +12,8 @@ derived coupling quantities that drive the amplitude evolution:
 Natural units with ħ = 1 throughout. The gauge fixes the first component of
 each eigenvector real and non-negative; sampled paths are restricted to
 θ ∈ (0, π) to keep that gauge smooth. Precessing paths with θ ∈ {0, π} are
-allowed and simply have Γ₋ = 0.
+allowed and simply have Γ₋ = 0. Both path kinds expose ``state(t)`` =
+(θ, φ, R, θ̇, φ̇); a sampled path measures t from its first sample.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 
 class GaugeSingularityError(ValueError):
@@ -83,10 +84,12 @@ class PrecessingPath:
     kind = "precessing"
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError(f"R must be positive, got {self.R}")
+        if not 0 < self.R < math.inf:
+            raise ValueError(f"R must be positive and finite, got {self.R}")
         if not 0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
         if self.duration is None and self.omega != 0:
             object.__setattr__(self, "duration", 2 * math.pi / abs(self.omega))
 
@@ -94,6 +97,10 @@ class PrecessingPath:
     def dimensionless(cls, x: float, theta: float) -> "PrecessingPath":
         """Path in units where the level splitting 2R = 1, so ω = x and t = τ."""
         return cls(R=0.5, theta=theta, omega=x)
+
+    def state(self, t):
+        """(θ, φ, R, θ̇, φ̇) at time t."""
+        return self.theta, self.omega * t, self.R, 0.0, self.omega
 
     def angles(self, t):
         return self.theta, self.omega * t
@@ -108,7 +115,9 @@ class PrecessingPath:
 class SampledPath:
     """Path given as (t, θ, φ, R) samples with cubic interpolation.
 
-    Derivatives θ̇, φ̇ come from the interpolant. Samples must have strictly
+    Time is measured from the first sample: ``self.t`` starts at 0 and every
+    method takes window-relative times in [0, ``duration``]. Derivatives θ̇, φ̇
+    come from the interpolant. Samples must be finite, with strictly
     increasing t, R > 0, and θ strictly inside (0, π).
     """
 
@@ -123,28 +132,52 @@ class SampledPath:
             raise ValueError("need at least 4 samples for cubic interpolation")
         if not (t.shape == theta.shape == phi.shape == R.shape):
             raise ValueError("t, theta, phi, R must have equal length")
+        columns = np.column_stack([theta, phi, R])
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(columns))):
+            raise ValueError("samples must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("sample times must be strictly increasing")
         if np.any(R <= 0):
             raise ValueError("R must stay positive along the path")
         if np.any(theta <= 0) or np.any(theta >= math.pi):
             raise GaugeSingularityError("sampled paths require theta strictly in (0, pi)")
-        self.t = t
-        self.duration = float(t[-1] - t[0])
-        self._theta = CubicSpline(t, theta)
-        self._phi = CubicSpline(t, phi)
-        self._R = CubicSpline(t, R)
-        self._theta_dot = self._theta.derivative()
-        self._phi_dot = self._phi.derivative()
+        self.t = t - t[0]
+        self.duration = float(self.t[-1])
+        # one piecewise cubic over the columns (θ, φ, R, θ̇, φ̇): the derivative's
+        # quadratic coefficients are padded with a zero cubic term
+        spline = CubicSpline(self.t, columns)
+        rates = spline.derivative().c[:, :, :2]
+        rates = np.concatenate([np.zeros_like(rates[:1]), rates])
+        self._spline = PPoly(np.concatenate([spline.c, rates], axis=2), spline.x)
+
+    def state(self, t):
+        """(θ, φ, R, θ̇, φ̇) at a scalar time (floats) or an array of times
+        (arrays), from one spline evaluation. Raises GaugeSingularityError
+        where the interpolated θ leaves (0, π)."""
+        values = self._spline(t)
+        if values.ndim == 1:
+            values = values.tolist()
+            if not 0 < values[0] < math.pi:
+                raise GaugeSingularityError(f"theta(t={t}) = {values[0]} outside (0, pi)")
+            return tuple(values)
+        theta = values[..., 0].ravel()
+        bad = ~((theta > 0) & (theta < math.pi))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise GaugeSingularityError(
+                f"theta(t={np.ravel(t)[i]}) = {theta[i]} outside (0, pi)")
+        return tuple(np.moveaxis(values, -1, 0))
 
     def angles(self, t):
-        return float(self._theta(t)), float(self._phi(t))
+        theta, phi, _, _, _ = self.state(t)
+        return theta, phi
 
     def rates(self, t):
-        return float(self._theta_dot(t)), float(self._phi_dot(t))
+        _, _, _, theta_dot, phi_dot = self.state(t)
+        return theta_dot, phi_dot
 
     def magnitude(self, t):
-        return float(self._R(t))
+        return self.state(t)[2]
 
 
 def load_path_csv(file) -> SampledPath:
@@ -178,25 +211,39 @@ def instantaneous_eigensystem(theta: float, phi: float, R: float = 1.0):
     return R, -R, v_plus, v_minus
 
 
+def _berry_rates(state) -> tuple[float, float]:
+    """(γ̇₊, γ̇₋) = (−φ̇ sin²(θ/2), −φ̇ cos²(θ/2)) from a state (θ, φ, R, θ̇, φ̇)."""
+    theta, _, _, _, phi_dot = state
+    return -phi_dot * math.sin(theta / 2) ** 2, -phi_dot * math.cos(theta / 2) ** 2
+
+
+def _coupling(state) -> complex:
+    """Γ₋ = θ̇/2 − (i/2) φ̇ sinθ from a state (θ, φ, R, θ̇, φ̇)."""
+    theta, _, _, theta_dot, phi_dot = state
+    return theta_dot / 2 - 0.5j * phi_dot * math.sin(theta)
+
+
+def _detuning(state):
+    """δ = 2R − φ̇ cosθ from a state (θ, φ, R, θ̇, φ̇) of scalars or arrays."""
+    theta, _, R, _, phi_dot = state
+    return 2 * R - phi_dot * np.cos(theta)
+
+
 def coupling_at(path, t: float) -> EigenFrame:
     """Instantaneous eigenframe with Berry rates, coupling Γ₋, and detuning δ."""
-    theta, phi = path.angles(t)
-    if path.kind == "sampled" and not 0 < theta < math.pi:
-        raise GaugeSingularityError(f"theta(t={t}) = {theta} outside (0, pi)")
-    theta_dot, phi_dot = path.rates(t)
-    R = path.magnitude(t)
-    E_plus, E_minus, v_plus, v_minus = instantaneous_eigensystem(theta, phi, R)
-    half = theta / 2
+    state = path.state(t)
+    E_plus, E_minus, v_plus, v_minus = instantaneous_eigensystem(*state[:3])
+    gamma_rate_plus, gamma_rate_minus = _berry_rates(state)
     return EigenFrame(
         t=t,
         E_plus=E_plus,
         E_minus=E_minus,
         v_plus=v_plus,
         v_minus=v_minus,
-        gamma_rate_plus=-phi_dot * math.sin(half) ** 2,
-        gamma_rate_minus=-phi_dot * math.cos(half) ** 2,
-        Gamma_minus=theta_dot / 2 - 0.5j * phi_dot * math.sin(theta),
-        delta=2 * R - phi_dot * math.cos(theta),
+        gamma_rate_plus=gamma_rate_plus,
+        gamma_rate_minus=gamma_rate_minus,
+        Gamma_minus=_coupling(state),
+        delta=_detuning(state),
     )
 
 
@@ -212,10 +259,9 @@ def berry_phase(path, level: int, t: float) -> float:
         half = path.theta / 2
         sq = math.sin(half) ** 2 if level == +1 else math.cos(half) ** 2
         return -path.omega * t * sq
-    rate = (lambda u: coupling_at(path, u).gamma_rate_plus) if level == +1 else (
-        lambda u: coupling_at(path, u).gamma_rate_minus
-    )
-    val, _ = quad(rate, 0.0, t, limit=200, epsabs=1e-12, epsrel=1e-12)
+    which = 0 if level == +1 else 1
+    val, _ = quad(lambda u: _berry_rates(path.state(u))[which], 0.0, t,
+                  limit=200, epsabs=1e-12, epsrel=1e-12)
     return val
 
 
@@ -224,7 +270,8 @@ def make_kernel(path) -> CouplingKernel:
 
     Precessing paths use the closed forms F(t) = −iC e^{iδt} with
     C = (ω/2) sinθ, no integration error. Sampled paths accumulate ∫δ with
-    a spline antiderivative on a fine internal grid.
+    a spline antiderivative of δ tabulated on a fine internal grid; each
+    kernel member makes one path evaluation, and F one more of ∫δ.
     """
     if path.kind == "precessing":
         C = path.omega / 2 * math.sin(path.theta)
@@ -239,23 +286,13 @@ def make_kernel(path) -> CouplingKernel:
             delta_integral=lambda t: delta0 * t,
         )
 
-    n_fine = max(1024, 8 * len(path.t))
-    t_fine = np.linspace(path.t[0], path.t[-1], n_fine)
-    delta_fine = np.array([coupling_at(path, u).delta for u in t_fine])
-    phase = CubicSpline(t_fine, delta_fine).antiderivative()
-    origin = float(phase(path.t[0]))
-
-    def F(t):
-        frame = coupling_at(path, t)
-        return frame.Gamma_minus * np.exp(1j * (float(phase(t)) - origin))
-
+    t_fine = np.linspace(0.0, path.duration, max(1024, 8 * len(path.t)))
+    # the antiderivative vanishes at its first breakpoint, t = 0
+    phase = CubicSpline(t_fine, _detuning(path.state(t_fine))).antiderivative()
     return CouplingKernel(
-        F=F,
-        delta=lambda t: coupling_at(path, t).delta,
-        Gamma_minus=lambda t: coupling_at(path, t).Gamma_minus,
-        gamma_rates=lambda t: (
-            coupling_at(path, t).gamma_rate_plus,
-            coupling_at(path, t).gamma_rate_minus,
-        ),
-        delta_integral=lambda t: float(phase(t)) - origin,
+        F=lambda t: _coupling(path.state(t)) * np.exp(1j * float(phase(t))),
+        delta=lambda t: _detuning(path.state(t)),
+        Gamma_minus=lambda t: _coupling(path.state(t)),
+        gamma_rates=lambda t: _berry_rates(path.state(t)),
+        delta_integral=lambda t: float(phase(t)),
     )

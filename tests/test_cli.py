@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run([sys.executable, "-m", "nadphase", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, timeout=timeout)
+
+
+def write_path(file, thetas, dt=1.0):
+    rows = "\n".join(f"{i * dt},{th},{0.3 * i * dt},0.5" for i, th in enumerate(thetas))
+    file.write_text("t,theta,phi,R\n" + rows + "\n")
 
 
 def read_csv(path):
@@ -157,3 +162,36 @@ class TestExitCodes:
 
     def test_no_command(self):
         assert run_cli().returncode == 2
+
+    @pytest.mark.parametrize("args", [
+        ("evolve", "--theta-deg", "60", "--x", "nan", "--tau", "3"),
+        ("evolve", "--theta-deg", "60", "--x", "inf", "--tau", "3"),
+        ("evolve", "--theta-deg", "60", "--x", "0.3", "--tau", "inf"),
+        ("evolve", "--theta-deg", "60", "--x", "0.3", "--tau", "nan"),
+        ("evolve", "--theta-deg", "60", "--x", "0.3", "--tau", "-5"),
+        ("eigen", "--theta-deg", "60", "--omega", "nan"),
+    ])
+    def test_non_finite_or_negative_input(self, tmp_path, args):
+        res = run_cli(*args, "--out", str(tmp_path / "o.csv"), timeout=30)
+        assert res.returncode == 2, res.stderr
+        assert "configuration error" in res.stderr
+
+    @pytest.mark.parametrize("thetas", [
+        [1.2, 1.2, float("nan"), 1.2, 1.2],   # a non-finite sample
+        [1.2, 1.2, 3.5, 1.2, 1.2],            # a sample outside (0, pi)
+    ])
+    def test_bad_path_file(self, tmp_path, thetas):
+        path_file = tmp_path / "path.csv"
+        write_path(path_file, thetas)
+        res = run_cli("evolve", "--path-file", str(path_file), "--tau", "2",
+                      "--out", str(tmp_path / "t.csv"), timeout=30)
+        assert res.returncode == 2, res.stderr
+
+    def test_gauge_failure_in_numerics_is_numerical(self, tmp_path):
+        # every sample is inside (0, pi), but the interpolant overshoots pi
+        path_file = tmp_path / "path.csv"
+        write_path(path_file, [1.0, 1.0, 1.0, 3.14, 3.14, 1.0, 1.0, 1.0])
+        res = run_cli("evolve", "--path-file", str(path_file), "--tau", "5",
+                      "--out", str(tmp_path / "t.csv"), timeout=30)
+        assert res.returncode == 3, res.stderr
+        assert "outside (0, pi)" in res.stderr

@@ -58,6 +58,12 @@ class TestEvolve:
         with pytest.raises(ValueError):
             engine.evolve(kernel, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan, -5.0])
+    def test_rejects_bad_end_time(self, t_end):
+        kernel = make_kernel(PrecessingPath.dimensionless(0.1, THETA60))
+        with pytest.raises(ValueError, match="t_end"):
+            engine.evolve(kernel, t_end)
+
     def test_step_failure_reports_time(self):
         from nadphase.paths import CouplingKernel
 
@@ -225,3 +231,11 @@ class TestTrajectoryExport:
         # unitarity defect column stays tiny, rho column starts at 0
         assert np.max(table[:, 7]) <= 1e-9
         assert table[0, 5] == pytest.approx(0.0, abs=1e-14)
+
+    def test_table_matches_public_readout(self, reference_run):
+        _, traj = reference_run
+        ts = traj.ts
+        S, I = traj.amplitudes(ts)
+        expected = np.column_stack([ts, S.real, S.imag, I.real, I.imag, traj.rho(ts), np.abs(S),
+                                    traj.unitarity_defect(ts)])
+        np.testing.assert_array_equal(engine.trajectory_table(traj), expected)

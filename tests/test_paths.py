@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
+from nadphase import engine
 from nadphase.paths import (
     GaugeSingularityError,
     PrecessingPath,
@@ -19,6 +22,13 @@ from nadphase.paths import (
 def wobble_path(t_max=3.0, n=601):
     ts = np.linspace(0.0, t_max, n)
     return SampledPath(ts, np.pi / 2 + 0.1 * np.sin(ts), ts.copy(), np.ones_like(ts))
+
+
+def varied_samples(t0=0.0, t_max=6.0, n=121):
+    """Samples on [t0, t0 + t_max] along which theta, phi and R all vary."""
+    u = np.linspace(0.0, t_max, n)
+    return (u + t0, 1.2 + 0.3 * np.sin(0.9 * u), 0.4 * u + 0.2 * np.cos(1.3 * u),
+            0.5 + 0.1 * np.sin(0.5 * u))
 
 
 class TestEigensystem:
@@ -186,6 +196,89 @@ class TestKernel:
             assert abs(deriv - kernel.delta(t)) <= 1e-6
 
 
+class TestSampledKernelOracle:
+    """The sampled kernel against a composition of three separate splines."""
+
+    T0 = 1.7
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        t, theta, phi, R = varied_samples(self.T0)
+        u = t - t[0]
+        th, ph, r = CubicSpline(u, theta), CubicSpline(u, phi), CubicSpline(u, R)
+        th_dot, ph_dot = th.derivative(), ph.derivative()
+
+        def reference(v):
+            theta, theta_dot, phi_dot = float(th(v)), float(th_dot(v)), float(ph_dot(v))
+            Gamma = theta_dot / 2 - 0.5j * phi_dot * math.sin(theta)
+            delta = 2 * float(r(v)) - phi_dot * math.cos(theta)
+            rates = (-phi_dot * math.sin(theta / 2) ** 2, -phi_dot * math.cos(theta / 2) ** 2)
+            return Gamma, delta, rates
+
+        path = SampledPath(t, theta, phi, R)
+        return path, make_kernel(path), reference, u
+
+    def test_members_match_composition(self, setup):
+        path, kernel, reference, _ = setup
+        times = np.random.default_rng(20).uniform(0.0, path.duration, 200)
+        for v in times:
+            Gamma, delta, (g_plus, g_minus) = reference(v)
+            assert abs(kernel.Gamma_minus(v) - Gamma) <= 1e-13
+            assert abs(kernel.delta(v) - delta) <= 1e-13
+            rates = kernel.gamma_rates(v)
+            assert abs(rates[0] - g_plus) <= 1e-13 and abs(rates[1] - g_minus) <= 1e-13
+            F_ref = Gamma * np.exp(1j * kernel.delta_integral(v))
+            assert abs(kernel.F(v) - F_ref) <= 1e-13
+
+    def test_delta_integral_matches_quadrature(self, setup):
+        path, kernel, reference, knots = setup
+        assert kernel.delta_integral(0.0) == 0.0
+        for v in np.random.default_rng(21).uniform(0.0, path.duration, 5):
+            # δ is smooth between the sample knots, so quad splits there
+            exact, _ = quad(lambda w: reference(w)[1], 0.0, v, limit=500,
+                            points=knots[(knots > 0) & (knots < v)], epsabs=1e-13, epsrel=1e-13)
+            assert abs(kernel.delta_integral(v) - exact) <= 1e-10
+
+    def test_array_state_matches_scalar(self, setup):
+        path = setup[0]
+        times = np.random.default_rng(22).uniform(0.0, path.duration, 50)
+        columns = path.state(times)
+        for i, v in enumerate(times):
+            assert [c[i] for c in columns] == list(path.state(v))
+        theta, phi = path.angles(times)
+        assert np.array_equal(theta, columns[0]) and np.array_equal(phi, columns[1])
+        assert np.array_equal(path.magnitude(times), columns[2])
+        assert np.array_equal(path.rates(times)[1], columns[4])
+
+    def test_sliced_propagator_matches_pointwise_product(self, setup):
+        path = setup[0]
+        t, n = 4.0, 400
+        eps = t / n
+        U = np.eye(2, dtype=complex)
+        for k in range(1, n + 1):
+            theta, phi = path.angles(k * eps)
+            R = path.magnitude(k * eps)
+            H = R * np.array([[math.cos(theta), math.sin(theta) * np.exp(-1j * phi)],
+                              [math.sin(theta) * np.exp(1j * phi), -math.cos(theta)]])
+            U = (np.eye(2) - 1j * eps * H) @ U
+        assert np.max(np.abs(engine.sliced_propagator(path, t, n).U - U)) <= 1e-13
+
+
+@settings(max_examples=15, deadline=None)
+@given(t0=st.floats(0.0, 10.0))
+def test_sampled_time_shift_invariance(t0):
+    # a sampled path measures time from its first sample, so shifting every
+    # sample time by t0 leaves the amplitudes unchanged; tol 1e-12 keeps the
+    # integrator's own error (about 1e-8 at tol 1e-10 on this path) below 1e-9
+    ends = []
+    for shift in (0.0, t0):
+        path = SampledPath(*varied_samples(shift, t_max=3.0, n=61))
+        S, _ = engine.evolve(make_kernel(path), path.duration, tol=1e-12).amplitudes(
+            path.duration)
+        ends.append(complex(S))
+    assert abs(ends[0] - ends[1]) <= 1e-9
+
+
 class TestPathValidation:
     def test_precessing_invariants(self):
         with pytest.raises(ValueError):
@@ -193,6 +286,35 @@ class TestPathValidation:
         with pytest.raises(ValueError):
             PrecessingPath(R=1.0, theta=3.5, omega=1.0)
         PrecessingPath(R=1.0, theta=0.0, omega=1.0)  # degenerate coupling allowed
+
+    @pytest.mark.parametrize("R,omega", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+    ])
+    def test_precessing_rejects_non_finite(self, R, omega):
+        with pytest.raises(ValueError):
+            PrecessingPath(R=R, theta=1.0, omega=omega)
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_sampled_rejects_non_finite(self, column):
+        samples = [np.array(c) for c in varied_samples()]
+        samples[column][5] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            SampledPath(*samples)
+
+    def test_sampled_time_starts_at_first_sample(self):
+        path = SampledPath(*varied_samples(t0=2.5))
+        reference = SampledPath(*varied_samples())
+        assert path.t[0] == 0.0 and path.duration == pytest.approx(6.0)
+        assert path.state(1.0) == pytest.approx(reference.state(1.0), abs=1e-13)
+
+    def test_gauge_check_on_interpolant(self):
+        ts = np.arange(8.0)
+        path = SampledPath(ts, [1.0, 1.0, 1.0, 3.14, 3.14, 1.0, 1.0, 1.0], 0.3 * ts,
+                           np.full(8, 0.5))
+        with pytest.raises(GaugeSingularityError):
+            path.state(3.5)
+        with pytest.raises(GaugeSingularityError):
+            make_kernel(path)
 
     def test_sampled_rejects_gauge_violations(self):
         ts = np.linspace(0.0, 1.0, 10)
