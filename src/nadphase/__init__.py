@@ -10,7 +10,6 @@ truncated transition series, branch-tracked arctangent sweep).
 
 from .engine import (
     AmplitudeResult,
-    AmplitudeState,
     StepFailureError,
     Trajectory,
     assemble,
@@ -45,7 +44,6 @@ from .rotating import (
     RotatingFrameSolution,
     exact_S,
     exact_rho,
-    exact_state,
     propagate_exact,
     solve_rotating_frame,
 )

@@ -49,8 +49,6 @@ class RunConfig:
     def validate(self) -> None:
         if not 0 < self.tol <= 1e-4:
             raise ConfigError(f"tol must lie in (0, 1e-4], got {self.tol}")
-        if self.grid < 2:
-            raise ConfigError(f"grid must be >= 2, got {self.grid}")
         if self.tau is not None and not 0 <= self.tau < math.inf:
             raise ConfigError(f"tau must be finite and non-negative, got {self.tau}")
         if self.command == "evolve" and self.x is not None and self.x_f is not None:
@@ -122,8 +120,11 @@ def _cmd_phase_sweep(cfg: RunConfig) -> int:
         raise ConfigError("phase-sweep requires --theta-deg and --xf")
     if cfg.out is None:
         raise ConfigError("phase-sweep requires --out")
-    sweep_cfg = sweep.SweepConfig(theta=math.radians(cfg.theta_deg), x_f=cfg.x_f,
-                                  s=cfg.s, grid=cfg.grid, tol=cfg.tol)
+    try:
+        sweep_cfg = sweep.SweepConfig(theta=math.radians(cfg.theta_deg), x_f=cfg.x_f,
+                                      s=cfg.s, grid=cfg.grid, tol=cfg.tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     curve = sweep.figure1_dataset(sweep_cfg)
     write_csv(cfg.out, sweep.FIGURE1_HEADER, sweep.figure1_table(curve))
     return 0
@@ -134,9 +135,10 @@ def _cmd_nmr(cfg: RunConfig) -> int:
         raise ConfigError("nmr requires --theta-deg and --x")
     if cfg.out is None:
         raise ConfigError("nmr requires --out")
-    if cfg.n < 1:
-        raise ConfigError(f"cycle count n must be >= 1, got {cfg.n}")
-    table = nmr.magnetization_table(cfg.x, math.radians(cfg.theta_deg), cfg.n)
+    try:
+        table = nmr.magnetization_table(cfg.x, math.radians(cfg.theta_deg), cfg.n)
+    except ValueError as exc:  # x, theta or n outside its domain
+        raise ConfigError(str(exc)) from exc
     write_csv(cfg.out, nmr.MAGNETIZATION_HEADER, table)
     return 0
 

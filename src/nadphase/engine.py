@@ -33,15 +33,6 @@ class StepFailureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AmplitudeState:
-    """The amplitude pair at one time: S persistence factor, I transition integral."""
-
-    t: float
-    S: complex
-    I: complex
-
-
-@dataclass(frozen=True)
 class AmplitudeResult:
     """Assembled amplitudes at one time.
 
@@ -76,10 +67,6 @@ class Trajectory:
         y = self._sol(self.ts)
         self._rho_nodes = np.unwrap(np.arctan2(y[3], y[2]))
 
-    @property
-    def t_end(self) -> float:
-        return float(self.ts[-1])
-
     def amplitudes(self, t):
         """(S, I) sampled at scalar or array times."""
         y = self._sol(np.asarray(t, dtype=float))
@@ -89,10 +76,6 @@ class Trajectory:
         """(γ₋, γ₊, ∫E₋, ∫E₊) sampled at scalar or array times."""
         y = self._sol(np.asarray(t, dtype=float))
         return y[4], y[5], y[6], y[7]
-
-    def state_at(self, t: float) -> AmplitudeState:
-        S, I = self.amplitudes(t)
-        return AmplitudeState(t=float(t), S=complex(S), I=complex(I))
 
     def rho(self, t):
         """Unwrapped non-adiabatic phase correction ρ(t) = arg S(t), ρ(0) = 0."""
@@ -124,6 +107,8 @@ def evolve(kernel: CouplingKernel, t_end: float, tol: float = 1e-10) -> Trajecto
         raise ValueError(f"tol must be positive, got {tol}")
     if not 0 <= t_end < math.inf:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
+    if t_end > kernel.t_max:
+        raise ValueError(f"t_end = {t_end} runs past the path's last sample at {kernel.t_max}")
 
     def rhs(t, y):
         F = kernel.F(t)

@@ -39,8 +39,8 @@ class MagnetizationPoint:
 def _cycle_tau(x: float, n: int) -> float:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"cycle count n must be a positive integer, got {n}")
-    if x <= 0:
-        raise ValueError(f"x must be positive for a cycle time, got {x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"x must be finite and positive for a cycle time, got {x}")
     return 2 * math.pi * n / x
 
 
@@ -73,9 +73,7 @@ def exact_amplitudes(x: float, theta: float, t: float):
     amplitudes satisfy unitarity and all interference identities to machine
     precision.
     """
-    half = theta / 2
-    v_plus0 = np.array([math.cos(half), math.sin(half)], dtype=complex)
-    v_minus0 = np.array([math.sin(half), -math.cos(half)], dtype=complex)
+    _, _, v_plus0, v_minus0 = instantaneous_eigensystem(theta, 0.0)
     psi_minus = propagate_exact(x, theta, t, v_minus0)
     psi_plus = propagate_exact(x, theta, t, v_plus0)
     _, _, vp_t, vm_t = instantaneous_eigensystem(theta, x * t)
@@ -153,6 +151,7 @@ MAGNETIZATION_HEADER = ["n", "x", "theta_deg", "Mx_exact", "Mx_approx",
 
 def magnetization_table(x: float, theta: float, n_max: int) -> np.ndarray:
     """Rows for cycles 1..n_max (columns per MAGNETIZATION_HEADER)."""
+    _cycle_tau(x, n_max)  # rejects x and n_max before any numerics
     rows = []
     for n in range(1, n_max + 1):
         exact = transverse_magnetization_exact(x, theta, n)

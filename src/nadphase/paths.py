@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,6 +59,7 @@ class CouplingKernel:
     F(t) = Γ₋(t)·exp[i∫₀ᵗ δ(τ)dτ] carries every consequence of the
     non-adiabatic motion; |F(t)| = |Γ₋(t)| for all t. ``gamma_rates``
     returns (γ̇₊, γ̇₋) and ``delta_integral`` the accumulated phase ∫₀ᵗ δ.
+    ``t_max`` bounds where they are defined: a sampled path's duration.
     """
 
     F: Callable[[float], complex]
@@ -66,6 +67,10 @@ class CouplingKernel:
     Gamma_minus: Callable[[float], complex]
     gamma_rates: Callable[[float], tuple[float, float]]
     delta_integral: Callable[[float], float]
+    t_max: InitVar[float] = math.inf
+
+    def __post_init__(self, t_max):
+        object.__setattr__(self, "t_max", t_max)
 
 
 @dataclass(frozen=True)
@@ -295,4 +300,5 @@ def make_kernel(path) -> CouplingKernel:
         Gamma_minus=lambda t: _coupling(path.state(t)),
         gamma_rates=lambda t: _berry_rates(path.state(t)),
         delta_integral=lambda t: float(phase(t)),
+        t_max=path.duration,
     )

@@ -105,14 +105,17 @@ def propagate_exact(x: float, theta: float, tau: float, psi0=None) -> np.ndarray
                      np.exp(+0.5j * x * tau) * psi_rot[1]])
 
 
-def exact_state(x: float, theta: float, tau: float) -> np.ndarray:
-    """Exact state evolved from the lower instantaneous eigenstate."""
-    return propagate_exact(x, theta, tau)
+def phase_branch(u, g):
+    """Continuous branch of arg(cos u + i·g·sin u) from u = 0, scalar or array:
+    atan2(g·sin v, cos v) + sign(g)·mπ with m = round(u/π), v = u − mπ. Each
+    half-odd-π crossing of u turns the phase by π, backward when g < 0."""
+    m = np.round(u / np.pi)
+    v = u - m * np.pi
+    return np.arctan2(g * np.sin(v), np.cos(v)) + np.sign(g) * m * np.pi
 
 
-def exact_rho(x: float, theta: float, tau: float, samples_per_cycle: int = 256) -> float:
-    """Continuous phase of S(τ) unwrapped from ρ(0) = 0 along a dense τ grid."""
-    n = max(samples_per_cycle, int(samples_per_cycle * abs(tau) / (2 * math.pi)) + 1)
-    ts = np.linspace(0.0, tau, n)
-    S = exact_S(x, theta, ts)
-    return float(np.unwrap(np.angle(S))[-1])
+def exact_rho(x: float, theta: float, tau: float) -> float:
+    """Continuous phase of S(τ) from ρ(0) = 0: S = e^{−idτ/2}(cos(eτ/2) +
+    i·g·sin(eτ/2)), so ρ = −dτ/2 + phase_branch(eτ/2, g)."""
+    sol = solve_rotating_frame(x, theta)
+    return float(-sol.d * tau / 2 + phase_branch(sol.e * tau / 2, sol.g))

@@ -7,9 +7,9 @@ Two mutually validating routes compute ε(x):
 * an ODE in x (dε/dx from differentiating the defining relation at fixed τ),
   integrated adaptively from ε(0) = 1, which is the primary method; and
 * the branch-tracked arctangent ετ/2 = atan2(g·sin v, cos v) + mπ with
-  m = round(eτ/2 / π) and v = eτ/2 − mπ, which is total, needs no marching,
-  and serves as the independent oracle and as the fallback wherever the ODE's
-  tangent blows up.
+  m = round(eτ/2 / π) and v = eτ/2 − mπ (``rotating.phase_branch``, which
+  also gives the exact ρ(τ)), which is total, needs no marching, and serves
+  as the oracle and as the fallback wherever the ODE's tangent blows up.
 
 The ODE right-hand side has poles where cos(eτ/2) = 0. Pole locations are
 found analytically before integrating; the ODE runs on the pole-free segments
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, solve_ivp
-from scipy.optimize import brentq
+
+from .rotating import phase_branch
 
 FIRST_ITERATION_C1 = 0.25
 FIRST_ITERATION_C2 = 1.0 / 3.0
@@ -43,14 +44,16 @@ class SweepConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         if not 0 < self.x_f < 1:
             raise ValueError(f"x_f must lie in (0, 1), got {self.x_f}")
         if self.grid < 2:
             raise ValueError(f"grid must be >= 2, got {self.grid}")
-        if self.s <= 0:
-            raise ValueError(f"cycle count s must be positive, got {self.s}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.s < math.inf:
+            raise ValueError(f"cycle count s must be finite and positive, got {self.s}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
     @property
     def tau(self) -> float:
@@ -74,63 +77,68 @@ class PhaseCurve:
     labels: tuple[str, ...] = ("A",)
 
 
+def _params(x, cos_t, sqrt=math.sqrt):
+    """d = 1 − x cosθ, e = √(1 − 2x cosθ + x²), g = d/e, de/dx and dg/dx in
+    units 2R = 1; scalar ``math`` by default, ``sqrt=np.sqrt`` for arrays."""
+    d = 1 - x * cos_t
+    e = sqrt(1 - 2 * x * cos_t + x**2)
+    dedx = (x - cos_t) / e
+    dgdx = (-cos_t * e**2 - d * (x - cos_t)) / e**3
+    return d, e, d / e, dedx, dgdx
+
+
 def dimensionless_params(x, theta):
-    """Detuning, Rabi frequency, and their ratio in units 2R = 1:
-    d = 1 − x cosθ, e = √(1 − 2x cosθ + x²), g = d/e."""
-    x = np.asarray(x, dtype=float)
-    d = 1 - x * np.cos(theta)
-    e = np.sqrt(1 - 2 * x * np.cos(theta) + x**2)
+    """(d, e, g) at scalar or array x, in units 2R = 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d, e, g, _, _ = _params(np.asarray(x, dtype=float), np.cos(theta), np.sqrt)
     if np.any(e == 0):
         raise ValueError("degenerate splitting e = 0 (x = 1, theta = 0)")
-    return d, e, d / e
+    return d, e, g
 
 
 def epsilon_unwrap(cfg: SweepConfig, x):
     """Branch-tracked ε(x) from the defining relation, continuous with ε(0) = 1.
 
-    The integer branch offset m = round(eτ/2 / π) is exactly the count of
-    half-odd-π crossings a monotone march in x would accumulate, so no
-    marching state is needed and the form is total (it extends continuously
-    through the tangent poles, where ετ/2 = mπ ± π/2).
+    ετ/2 = phase_branch(eτ/2, g): the integer branch offset is exactly the
+    count of half-odd-π crossings a monotone march in x would accumulate, so
+    no marching state is needed and the form is total (it extends
+    continuously through the tangent poles, where ετ/2 = mπ ± π/2).
     """
-    tau = cfg.tau
-    d, e, g = dimensionless_params(x, cfg.theta)
-    u = e * tau / 2
-    m = np.round(u / np.pi)
-    v = u - m * np.pi
-    return 2 * (np.arctan2(g * np.sin(v), np.cos(v)) + m * np.pi) / tau
+    _, e, g = dimensionless_params(x, cfg.theta)
+    return 2 * phase_branch(e * cfg.tau / 2, g) / cfg.tau
 
 
 def _epsilon_rhs(cfg: SweepConfig):
+    """dε/dx at fixed τ, from differentiating tan(ετ/2) = g·tan(eτ/2), on the
+    scalar x the integrator passes (plain ``math``, no arrays)."""
     tau = cfg.tau
     cos_t = math.cos(cfg.theta)
 
     def rhs(x, y):
-        d, e, g = dimensionless_params(x, cfg.theta)
-        dedx = (x - cos_t) / e
-        dgdx = (-cos_t * e**2 - d * (x - cos_t)) / e**3
+        _, e, g, dedx, dgdx = _params(float(x), cos_t)
         half_e = e * tau / 2
-        cos_eps_sq = np.cos(y[0] * tau / 2) ** 2
-        return [(2 / tau) * cos_eps_sq * dgdx * np.tan(half_e)
-                + g * dedx * cos_eps_sq / np.cos(half_e) ** 2]
+        cos_eps_sq = math.cos(y[0] * tau / 2) ** 2
+        return [(2 / tau) * cos_eps_sq * dgdx * math.tan(half_e)
+                + g * dedx * cos_eps_sq / math.cos(half_e) ** 2]
 
     return rhs
 
 
 def _tangent_poles(cfg: SweepConfig) -> list[float]:
-    """x locations in (0, x_f) where cos(e(x)·τ/2) = 0."""
+    """x locations in (0, x_f) where cos(e(x)·τ/2) = 0, in closed form.
+
+    The poles are e = e_k = (2k+1)π/τ up to max e = max(e(0), e(x_f)); since
+    e² = (x − cosθ)² + sin²θ, each gives x = cosθ ± √(cos²θ − 1 + e_k²).
+    """
     tau = cfg.tau
-
-    def f(x):
-        _, e, _ = dimensionless_params(x, cfg.theta)
-        return math.cos(e * tau / 2)
-
-    probe = np.linspace(0.0, cfg.x_f, max(1000, 20 * int(tau)))
-    vals = np.array([f(x) for x in probe])
-    poles = []
-    for i in np.where(np.diff(np.sign(vals)) != 0)[0]:
-        poles.append(brentq(f, probe[i], probe[i + 1], xtol=1e-14))
-    return poles
+    cos_t = math.cos(cfg.theta)
+    e_max = max(1.0, _params(cfg.x_f, cos_t)[1])
+    roots = []
+    for k in range(math.floor((e_max * tau / math.pi - 1) / 2) + 1):
+        disc = cos_t * cos_t - 1 + ((2 * k + 1) * math.pi / tau) ** 2
+        if disc >= 0:
+            roots += [cos_t - math.sqrt(disc), cos_t + math.sqrt(disc)]
+    return sorted(x for x in roots if 0 < x < cfg.x_f)
 
 
 def epsilon_sweep(cfg: SweepConfig) -> PhaseCurve:
@@ -148,8 +156,7 @@ def epsilon_sweep(cfg: SweepConfig) -> PhaseCurve:
     segments = []
     lo = 0.0
     for pole in _tangent_poles(cfg):
-        _, e, _ = dimensionless_params(pole, cfg.theta)
-        slope = abs((pole - cos_t) / e) * tau / 2
+        slope = abs(_params(pole, cos_t)[3]) * tau / 2
         margin = min(max(0.05 / max(slope, 1e-9), 1e-6), 0.05 * cfg.x_f)
         segments.append((lo, pole - margin))
         lo = pole + margin
@@ -202,12 +209,9 @@ def first_iteration_epsilon(cfg: SweepConfig, xs, include_oscillatory_term: bool
     """
     xs = np.asarray(xs, dtype=float)
     fine = np.linspace(0.0, float(xs.max()), 8192)
-    d, e, g = dimensionless_params(fine, cfg.theta)
-    cos_t = math.cos(cfg.theta)
-    dedx = (fine - cos_t) / e
+    _, e, g, dedx, dgdx = _params(fine, math.cos(cfg.theta), np.sqrt)
     integrand = g * dedx
     if include_oscillatory_term:
-        dgdx = (-cos_t * e**2 - d * (fine - cos_t)) / e**3
         integrand = integrand + (cfg.x_f / (2 * math.pi * cfg.s)) * np.sin(
             2 * math.pi * cfg.s * e / cfg.x_f) * dgdx
     eps1 = 1.0 + cumulative_simpson(integrand, x=fine, initial=0.0)

@@ -170,6 +170,11 @@ class TestExitCodes:
         ("evolve", "--theta-deg", "60", "--x", "0.3", "--tau", "nan"),
         ("evolve", "--theta-deg", "60", "--x", "0.3", "--tau", "-5"),
         ("eigen", "--theta-deg", "60", "--omega", "nan"),
+        ("nmr", "--theta-deg", "60", "--x", "nan"),
+        ("nmr", "--theta-deg", "60", "--x", "inf"),
+        ("nmr", "--theta-deg", "nan", "--x", "0.3"),
+        ("phase-sweep", "--theta-deg", "60", "--xf", "nan"),
+        ("phase-sweep", "--theta-deg", "nan", "--xf", "0.3"),
     ])
     def test_non_finite_or_negative_input(self, tmp_path, args):
         res = run_cli(*args, "--out", str(tmp_path / "o.csv"), timeout=30)

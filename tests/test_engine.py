@@ -64,6 +64,14 @@ class TestEvolve:
         with pytest.raises(ValueError, match="t_end"):
             engine.evolve(kernel, t_end)
 
+    def test_rejects_end_time_past_sampled_path(self):
+        ts = np.linspace(0.0, 4.0, 81)
+        path = SampledPath(ts, np.full_like(ts, THETA60), 0.3 * ts, np.ones_like(ts))
+        kernel = make_kernel(path)
+        assert engine.evolve(kernel, path.duration).ts[-1] == path.duration
+        with pytest.raises(ValueError, match="last sample"):
+            engine.evolve(kernel, path.duration + 1.0)
+
     def test_step_failure_reports_time(self):
         from nadphase.paths import CouplingKernel
 

@@ -3,14 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nadphase import engine
 from nadphase.rotating import (
     DegenerateSplittingError,
     exact_S,
     exact_rho,
-    exact_state,
     propagate_exact,
     solve_rotating_frame,
 )
@@ -85,17 +84,17 @@ class TestExactS:
 
 class TestExactState:
     def test_initial_condition(self):
-        psi = exact_state(0.3, THETA60, 0.0)
+        psi = propagate_exact(0.3, THETA60, 0.0)
         half = THETA60 / 2
         np.testing.assert_allclose(psi, [math.sin(half), -math.cos(half)], atol=1e-15)
 
     @given(x=st.floats(0.0, 0.95), theta=st.floats(0.01, math.pi - 0.01),
            tau=st.floats(0.0, 50.0))
     def test_norm_preserved(self, x, theta, tau):
-        assert abs(np.linalg.norm(exact_state(x, theta, tau)) - 1) <= 1e-12
+        assert abs(np.linalg.norm(propagate_exact(x, theta, tau)) - 1) <= 1e-12
 
     def test_persistence_probability_reference(self):
-        psi = exact_state(0.3, THETA60, TAU_REF)
+        psi = propagate_exact(0.3, THETA60, TAU_REF)
         half = THETA60 / 2
         phase = cmath.exp(1j * 0.3 * TAU_REF)
         v_minus_t = np.array([math.sin(half), -math.cos(half) * phase])
@@ -105,7 +104,7 @@ class TestExactState:
     def test_projection_recovers_S(self):
         # <E-(t)|psi(t)> = exp(i gamma_- - i int E-) * S(t)
         x, theta, tau = 0.2, 1.0, 7.0
-        psi = exact_state(x, theta, tau)
+        psi = propagate_exact(x, theta, tau)
         half = theta / 2
         v_minus_t = np.array([math.sin(half), -math.cos(half) * cmath.exp(1j * x * tau)])
         overlap = v_minus_t.conj() @ psi
@@ -129,3 +128,21 @@ class TestExactRho:
 
     def test_zero_at_origin(self):
         assert exact_rho(0.3, THETA60, 0.0) == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(x=st.one_of(st.floats(0.01, 0.95), st.floats(1.05, 5.0)),
+           theta=st.floats(0.01, math.pi - 0.01), cycles=st.floats(0.0, 50.0))
+    def test_matches_dense_unwrap(self, x, theta, cycles):
+        # oracle: unwrap the principal phase of S along a dense tau grid
+        tau = 2 * math.pi * cycles / x
+        n = max(256, int(256 * tau / (2 * math.pi)) + 1)
+        dense = np.unwrap(np.angle(exact_S(x, theta, np.linspace(0.0, tau, n))))[-1]
+        assert abs(exact_rho(x, theta, tau) - dense) <= 1e-10
+
+    def test_negative_detuning_turns_backward(self):
+        # x = 2, theta = 30 deg: d < 0 and g < 0, the phase winds the other way
+        x, theta = 2.0, math.radians(30.0)
+        assert solve_rotating_frame(x, theta).g < 0
+        tau = 2 * math.pi * 7 / x
+        dense = np.unwrap(np.angle(exact_S(x, theta, np.linspace(0.0, tau, 20000))))[-1]
+        assert abs(exact_rho(x, theta, tau) - dense) <= 1e-10

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from nadphase.sweep import (
     PhaseCurve,
     SweepConfig,
+    _tangent_poles,
     dimensionless_params,
     epsilon_sweep,
     epsilon_unwrap,
@@ -95,6 +97,51 @@ class TestEpsilonSweep:
             SweepConfig(theta=1.0, x_f=0.3, s=1.0, grid=1)
         with pytest.raises(ValueError):
             SweepConfig(theta=1.0, x_f=0.3, s=-1.0)
+        for bad in ({"theta": math.nan}, {"x_f": math.nan}, {"s": math.nan},
+                    {"s": math.inf}, {"tol": math.nan}):
+            with pytest.raises(ValueError):
+                SweepConfig(**{"theta": 1.0, "x_f": 0.3, **bad})
+
+
+def _probed_poles(cfg, n):
+    """Oracle: sign changes of cos(e·τ/2) on n probe points, refined by brentq."""
+
+    def f(x):
+        _, e, _ = dimensionless_params(x, cfg.theta)
+        return math.cos(e * cfg.tau / 2)
+
+    probe = np.linspace(0.0, cfg.x_f, n)
+    _, e, _ = dimensionless_params(probe, cfg.theta)
+    vals = np.cos(e * cfg.tau / 2)
+    return [brentq(f, probe[i], probe[i + 1], xtol=1e-14)
+            for i in np.where(np.diff(np.sign(vals)) != 0)[0]]
+
+
+# the last configuration puts a pole pair 5.5e-4 apart around the minimum of e
+# at x = cosθ, inside one interval of a 1520-point probe of [0, 0.9]
+_NEAR_TANGENT_C = 843.5 * 0.9 / 1519
+_NEAR_TANGENT_S = 21 * 0.9 / (2 * math.sqrt(1 - _NEAR_TANGENT_C**2) * (1 + 5e-8))
+
+
+class TestTangentPoles:
+    @pytest.mark.parametrize("theta, x_f, s", [
+        (THETA60, 0.3, 1.0), (THETA60, 0.3, 3.0), (math.radians(30.0), 0.8, 7.5),
+        (math.radians(100.0), 0.95, 12.0), (math.radians(60.0), 0.9, 20.3),
+        (math.acos(_NEAR_TANGENT_C), 0.9, _NEAR_TANGENT_S),
+    ])
+    def test_matches_probe_and_brentq(self, theta, x_f, s):
+        cfg = SweepConfig(theta=theta, x_f=x_f, s=s)
+        poles = _tangent_poles(cfg)
+        oracle = _probed_poles(cfg, 400_001)
+        assert len(poles) == len(oracle)
+        assert np.max(np.abs(np.subtract(poles, oracle)), initial=0.0) <= 1e-12
+
+    def test_near_tangent_pair_inside_one_coarse_interval(self):
+        cfg = SweepConfig(theta=math.acos(_NEAR_TANGENT_C), x_f=0.9, s=_NEAR_TANGENT_S)
+        coarse = np.linspace(0.0, cfg.x_f, max(1000, 20 * int(cfg.tau)))
+        pair = [p for p in _tangent_poles(cfg) if abs(p - _NEAR_TANGENT_C) < 1e-3]
+        assert len(pair) == 2
+        assert np.searchsorted(coarse, pair[0]) == np.searchsorted(coarse, pair[1])
 
 
 class TestAnalyticCurves:
