@@ -7,9 +7,9 @@ The pair (S, I) obeys the regular first-order system
 which conserves |S|² + |I|² exactly. S(t) = A(t)e^{iρ(t)} multiplies the
 adiabatic persistence amplitude, so ρ carries every non-adiabatic correction
 to the geometric phase and A the reduced persistence magnitude; I(t) sets the
-transition amplitude. The geometric phases γ±(t) and the action integrals
-∫₀ᵗ E± dτ are accumulated alongside the ODE on the same adaptive grid so the
-full amplitudes can be assembled without re-integration.
+transition amplitude. The generator [[0, F], [−F*, 0]] is traceless and
+anti-Hermitian, so a fourth-order Magnus step is a closed-form SU(2) element;
+γ±(t) and the action integrals ∫₀ᵗ E± dτ are Gauss sums on the same nodes.
 
 Two independent low-level oracles live here as well: a time-sliced propagator
 product built from first-order slices 1 − iεH(t_k) (converging at rate 1/n),
@@ -23,13 +23,16 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
+from scipy.integrate import cumulative_simpson
 
-from .paths import CouplingKernel, instantaneous_eigensystem
+from .paths import CouplingKernel, gauss_nodes, instantaneous_eigensystem
+
+_FIRST_STEPS = 256
+MAX_STEPS = 2**19  # bounds a run to about 1.3 s and 190 MB (README, "Engine")
 
 
 class StepFailureError(RuntimeError):
-    """The adaptive integrator could not continue (kernel too stiff?)."""
+    """Step doubling missed ``tol`` by MAX_STEPS, or a kernel value was not finite."""
 
 
 @dataclass(frozen=True)
@@ -52,35 +55,78 @@ class AmplitudeResult:
     dyn_phase_minus: float
 
 
-class Trajectory:
-    """Dense-output trajectory of (S, I) plus accumulated phases.
+def _phase_rates(kernel: CouplingKernel, nodes) -> np.ndarray:
+    """(γ̇₋, γ̇₊, −E₊, E₊) at ``nodes`` on a first axis of 4, E₊ = (δ + γ̇₊ − γ̇₋)/2."""
+    g_plus, g_minus = kernel.gamma_rates(nodes)
+    E_plus = 0.5 * (kernel.delta(nodes) + g_plus - g_minus)
+    return np.stack(np.broadcast_arrays(g_minus, g_plus, -E_plus, E_plus, nodes)[:4])
 
-    Immutable after construction; evaluation is thread-safe. ``ts`` holds the
-    integrator's natural steps. ρ(t) is the continuous phase of S unwrapped
-    from ρ(0) = 0 (the branch that vanishes in the adiabatic limit).
+
+def _magnus_steps(F, h):
+    """Fourth-order Magnus steps exp Ω = cos r + (sin r / r)·Ω from F at the
+    Gauss nodes, Ω = [[iα, β], [−β*, −iα]] with β = h(F₁ + F₂)/2, α =
+    (√3/6)h²·Im(F₁F₂*), r = |(α, β)|, as SU(2) elements [[1 + da, b], [−b*,
+    1 + da*]]. da = −2 sin²(r/2) is kept apart from the 1, since cos r rounded
+    near 1 errs alike on equal steps, and their products would add it up."""
+    beta = 0.5 * h * (F[..., 0] + F[..., 1])
+    alpha = math.sqrt(3) / 6 * h**2 * (F[..., 0] * np.conj(F[..., 1])).imag
+    r = np.hypot(alpha, np.abs(beta))
+    sinc = np.sinc(r / np.pi)
+    return -2 * np.sin(0.5 * r) ** 2 + 1j * alpha * sinc, beta * sinc
+
+
+def _product(u, v):
+    """The products u·v of SU(2) elements held as rows (da, b)."""
+    return np.stack([u[0] + v[0] + u[0] * v[0] - u[1] * np.conj(v[1]),
+                     u[1] + v[1] + u[0] * v[1] + u[1] * np.conj(v[0])])
+
+
+def _prefix_products(u):
+    """Prefix products u_k ⋯ u_0 of 2^m SU(2) elements by a log-depth scan:
+    multiply neighbours in pairs, scan the pairs, extend each by one element."""
+    if u.shape[1] > 1:
+        pairs = _prefix_products(_product(u[:, 1::2], u[:, ::2]))
+        u = u.copy()
+        u[:, 1::2], u[:, 2::2] = pairs, _product(u[:, 2::2], pairs[:, :-1])
+    return u
+
+
+class Trajectory:
+    """(S, I) and the accumulated phases on a uniform grid of Magnus steps.
+
+    Immutable; evaluation is thread-safe. Off the nodes ``ts``, a partial step
+    from the node at or left of t gives the value, so at a node it is exact.
+    ρ(t) is the continuous phase of S unwrapped from ρ(0) = 0 (the branch that
+    vanishes in the adiabatic limit). ``stats`` describes the run only.
     """
 
-    def __init__(self, result, tol: float):
-        self._sol = result.sol
-        self.tol = tol
-        self.ts = result.t.copy()
-        y = self._sol(self.ts)
-        self._rho_nodes = np.unwrap(np.arctan2(y[3], y[2]))
+    def __init__(self, kernel, ts, psi, rates, tol: float, stats: dict):
+        self._kernel, self.ts, self._psi, self.tol, self.stats = kernel, ts, psi, tol, stats
+        increments = 0.5 * (ts[1] - ts[0]) * rates.sum(axis=-1)
+        self._phases = np.concatenate([np.zeros((4, 1)), np.cumsum(increments, axis=1)], axis=1)
+        self._rho_nodes = np.unwrap(np.angle(psi[0]))
+
+    def _from_node(self, t):
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 1)
+        return k, t - self.ts[k], gauss_nodes(self.ts[k], t - self.ts[k])
 
     def amplitudes(self, t):
         """(S, I) sampled at scalar or array times."""
-        y = self._sol(np.asarray(t, dtype=float))
-        return y[2] + 1j * y[3], y[0] + 1j * y[1]
+        k, h, nodes = self._from_node(t)
+        da, b = _magnus_steps(np.broadcast_to(self._kernel.F(nodes), nodes.shape), h)
+        S, I = self._psi[:, k]
+        return (S + (np.conj(da) * S - np.conj(b) * I))[()], (I + (da * I + b * S))[()]
 
     def phases(self, t):
         """(γ₋, γ₊, ∫E₋, ∫E₊) sampled at scalar or array times."""
-        y = self._sol(np.asarray(t, dtype=float))
-        return y[4], y[5], y[6], y[7]
+        k, h, nodes = self._from_node(t)
+        rates = _phase_rates(self._kernel, nodes).sum(axis=-1)
+        return tuple((self._phases[:, k] + 0.5 * h * rates)[()])
 
     def rho(self, t):
         """Unwrapped non-adiabatic phase correction ρ(t) = arg S(t), ρ(0) = 0."""
-        S, _ = self.amplitudes(t)
-        return self._unwrap(t, S)
+        return self._unwrap(t, self.amplitudes(t)[0])
 
     def _unwrap(self, t, S):
         principal = np.arctan2(np.imag(S), np.real(S))
@@ -96,36 +142,44 @@ def _defect(S, I):
 
 
 def evolve(kernel: CouplingKernel, t_end: float, tol: float = 1e-10) -> Trajectory:
-    """Integrate the coupled (I, S) system on [0, t_end].
-
-    Adaptive embedded Runge-Kutta 4(5) with absolute and relative tolerance
-    ``tol`` and quartic dense output. The state is augmented with γ±(t) and
-    ∫₀ᵗ E± dτ, where E₊ = (δ + γ̇₊ − γ̇₋)/2 recovers the energies from the
-    kernel. Raises StepFailureError with the failing time on breakdown.
-    """
+    """Integrate the coupled (I, S) system on [0, t_end] in n uniform Magnus
+    steps, n doubling from 256 until the error estimate of the 2n-step solution
+    ψ = (S, I), max|ψ₂ₙ − ψₙ|/15 over common nodes, is at most ``tol``. Raises
+    StepFailureError, naming a time, on a kernel value that is not finite or
+    when MAX_STEPS steps do not reach ``tol``; each kernel member is sampled
+    at every level's Gauss nodes."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not 0 <= t_end < math.inf:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
     if t_end > kernel.t_max:
         raise ValueError(f"t_end = {t_end} runs past the path's last sample at {kernel.t_max}")
-
-    def rhs(t, y):
-        F = kernel.F(t)
-        g_plus, g_minus = kernel.gamma_rates(t)
-        E_plus = 0.5 * (kernel.delta(t) + g_plus - g_minus)
-        I = y[0] + 1j * y[1]
-        S = y[2] + 1j * y[3]
-        dI = F * S
-        dS = -np.conj(F) * I
-        return (dI.real, dI.imag, dS.real, dS.imag, g_minus, g_plus, -E_plus, E_plus)
-
-    y0 = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    sol = solve_ivp(rhs, (0.0, float(t_end)), y0, method="RK45",
-                    rtol=tol, atol=tol, dense_output=True)
-    if not sol.success:
-        raise StepFailureError(f"integration failed at t = {sol.t[-1]}: {sol.message}")
-    return Trajectory(sol, tol)
+    n, coarse = _FIRST_STEPS, None
+    while True:
+        ts = np.linspace(0.0, t_end, n + 1)
+        nodes = gauss_nodes(ts[:-1], t_end / n)
+        F = np.broadcast_to(np.asarray(kernel.F(nodes), dtype=complex), nodes.shape)
+        rates = _phase_rates(kernel, nodes)
+        bad = ~(np.isfinite(F) & np.all(np.isfinite(rates), axis=0))
+        if np.any(bad):
+            raise StepFailureError(f"kernel value not finite at t = {nodes.flat[np.argmax(bad)]}")
+        da, b = _prefix_products(np.stack(_magnus_steps(F, t_end / n)))
+        psi = np.column_stack([[1.0, 0.0], np.stack([1.0 + np.conj(da), b])])
+        if coarse is not None:
+            gap = psi[:, ::2] - coarse
+            estimate = float(np.max(np.linalg.norm(gap, axis=0))) / 15
+            if estimate <= tol:
+                break
+            if 2 * n > MAX_STEPS:  # local estimate: the gap's growth over each coarse step
+                worst = np.argmax(np.linalg.norm(np.diff(gap, axis=1), axis=0))
+                raise StepFailureError(f"error estimate {estimate:.3g} > tol at {n} steps, "
+                                       f"worst in the step from t = {ts[2 * worst]}")
+        n, coarse = 2 * n, psi
+    doublings = int(math.log2(n // _FIRST_STEPS))
+    stats = {"steps": n, "doublings": doublings, "kernel_calls": 3 * (doublings + 1),
+             "kernel_points": 4 * n - 2 * _FIRST_STEPS, "error_estimate": estimate,
+             "unitarity_defect_max": float(np.max(_defect(*psi)))}
+    return Trajectory(kernel, ts, psi, rates, tol, stats)
 
 
 def assemble(traj: Trajectory, path, t: float) -> AmplitudeResult:
@@ -225,7 +279,7 @@ def series_persistence(kernel: CouplingKernel, t: float, order: int,
 
     def estimate(m: int) -> complex:
         ts = np.linspace(0.0, t, m + 1)
-        F = np.array([kernel.F(u) for u in ts])
+        F = kernel.F(ts)
         A0 = _cumulative_simpson_complex(F, ts)
         A1 = _cumulative_simpson_complex(np.conj(F) * A0, ts)
         S = 1.0 - A1[-1]
@@ -250,10 +304,9 @@ TRAJECTORY_HEADER = ["t", "Re_S", "Im_S", "Re_I", "Im_I", "rho", "A", "unitarity
 
 
 def trajectory_table(traj: Trajectory) -> np.ndarray:
-    """Trajectory sampled at the integrator's natural steps, one row per step,
-    columns matching TRAJECTORY_HEADER."""
-    ts = traj.ts
-    S, I = traj.amplitudes(ts)
+    """Trajectory at the step nodes, one row per node, columns matching
+    TRAJECTORY_HEADER."""
+    ts, (S, I) = traj.ts, traj._psi
     return np.column_stack([
         ts, S.real, S.imag, I.real, I.imag, traj._unwrap(ts, S), np.abs(S), _defect(S, I),
     ])

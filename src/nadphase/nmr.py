@@ -150,13 +150,13 @@ MAGNETIZATION_HEADER = ["n", "x", "theta_deg", "Mx_exact", "Mx_approx",
 
 
 def magnetization_table(x: float, theta: float, n_max: int) -> np.ndarray:
-    """Rows for cycles 1..n_max (columns per MAGNETIZATION_HEADER)."""
+    """Rows for cycles 1..n_max (columns per MAGNETIZATION_HEADER), with
+    Mx_approx = A²·cos(arg_approx) as in magnetization_approx."""
     _cycle_tau(x, n_max)  # rejects x and n_max before any numerics
     rows = []
     for n in range(1, n_max + 1):
         exact = transverse_magnetization_exact(x, theta, n)
-        approx = magnetization_approx(x, theta, n)
         A2 = abs(exact_S(x, theta, exact.t)) ** 2
-        rows.append([n, x, math.degrees(theta), exact.M_x, approx.M_x,
-                     exact.arg_exact, approx.arg_approx, A2])
+        rows.append([n, x, math.degrees(theta), exact.M_x, A2 * math.cos(exact.arg_approx),
+                     exact.arg_exact, exact.arg_approx, A2])
     return np.array(rows)

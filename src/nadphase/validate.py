@@ -65,9 +65,9 @@ def check_engine_vs_rotating_frame(tol: float) -> list[dict]:
         ts = traj.ts
         mids = 0.5 * (ts[:-1] + ts[1:])
         samples = np.sort(np.concatenate([ts, mids]))
-        S_num, _ = traj.amplitudes(samples)
+        S_num, I_num = traj.amplitudes(samples)
         err_S = max(err_S, float(np.max(np.abs(S_num - rotating.exact_S(x, theta, samples)))))
-        defect = max(defect, float(np.max(traj.unitarity_defect(samples))))
+        defect = max(defect, float(np.max(engine._defect(S_num, I_num))))
     return [
         _check("engine_vs_rotating_frame_S", err_S, 1e-8),
         _check("unitarity_defect", defect, 1e-9),

@@ -1,10 +1,20 @@
 import math
+import re
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nadphase import engine
-from nadphase.paths import PrecessingPath, SampledPath, make_kernel
+from nadphase import engine, rotating
+from nadphase.paths import (
+    CouplingKernel,
+    PrecessingPath,
+    SampledPath,
+    berry_phase,
+    gauss_nodes,
+    make_kernel,
+)
 
 THETA60 = math.radians(60.0)
 TAU_REF = 2 * math.pi / 0.3
@@ -247,3 +257,143 @@ class TestTrajectoryExport:
         expected = np.column_stack([ts, S.real, S.imag, I.real, I.imag, traj.rho(ts), np.abs(S),
                                     traj.unitarity_defect(ts)])
         np.testing.assert_array_equal(engine.trajectory_table(traj), expected)
+
+
+def precessing_run(x, theta_deg, cycles, tol=1e-10):
+    theta = math.radians(theta_deg)
+    t_end = cycles * 2 * math.pi / x
+    return theta, t_end, engine.evolve(make_kernel(PrecessingPath.dimensionless(x, theta)),
+                                       t_end, tol)
+
+
+def fixed_step_S(kernel, t_end, n):
+    """S at the nodes of exactly n Magnus steps, as evolve takes them."""
+    ts = np.linspace(0.0, t_end, n + 1)
+    steps = engine._magnus_steps(kernel.F(gauss_nodes(ts[:-1], t_end / n)), t_end / n)
+    da, _ = engine._prefix_products(np.stack(steps))
+    return ts[1:], 1.0 + np.conj(da)
+
+
+drives = dict(x=st.floats(0.02, 0.9), theta_deg=st.floats(5.0, 175.0),
+              cycles=st.integers(1, 5))
+
+
+class TestMagnusProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(**drives, u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50))
+    def test_unitarity_at_nodes_and_dense_points(self, x, theta_deg, cycles, u):
+        _, t_end, traj = precessing_run(x, theta_deg, cycles)
+        assert np.max(traj.unitarity_defect(traj.ts)) <= 1e-11
+        assert np.max(traj.unitarity_defect(t_end * np.array(u))) <= 1e-11
+
+    @settings(max_examples=20, deadline=None)
+    @given(**drives, u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50))
+    def test_matches_rotating_frame(self, x, theta_deg, cycles, u):
+        theta, t_end, traj = precessing_run(x, theta_deg, cycles)
+        ts = np.concatenate([traj.ts, t_end * np.array(u)])
+        S, _ = traj.amplitudes(ts)
+        assert np.max(np.abs(S - rotating.exact_S(x, theta, ts))) <= 1e-8
+
+    @settings(max_examples=20, deadline=None)
+    @given(**drives)
+    def test_fourth_order_convergence(self, x, theta_deg, cycles):
+        # max error over the nodes for n, 2n and 4n steps, n well inside the
+        # asymptotic range and the error well above rounding
+        theta = math.radians(theta_deg)
+        t_end = cycles * 2 * math.pi / x
+        kernel = make_kernel(PrecessingPath.dimensionless(x, theta))
+        n = 4 * 2 ** math.ceil(math.log2(t_end))
+        errs = []
+        for m in (n, 2 * n, 4 * n):
+            ts, S = fixed_step_S(kernel, t_end, m)
+            errs.append(np.max(np.abs(S - rotating.exact_S(x, theta, ts))))
+        assert 12 <= errs[0] / errs[1] <= 20
+        assert 12 <= errs[1] / errs[2] <= 20
+
+    @settings(max_examples=20, deadline=None)
+    @given(**drives)
+    def test_dense_output_at_nodes_is_the_node_value(self, x, theta_deg, cycles):
+        _, _, traj = precessing_run(x, theta_deg, cycles)
+        S, I = traj.amplitudes(traj.ts)
+        table = engine.trajectory_table(traj)
+        assert S.real.tobytes() == table[:, 1].tobytes()
+        assert S.imag.tobytes() == table[:, 2].tobytes()
+        assert I.real.tobytes() == table[:, 3].tobytes()
+        assert I.imag.tobytes() == table[:, 4].tobytes()
+
+
+class TestStepDoubling:
+    def test_stats_describe_the_run(self, reference_run):
+        _, traj = reference_run
+        stats = traj.stats
+        assert stats["steps"] == len(traj.ts) - 1 == engine._FIRST_STEPS * 2 ** stats["doublings"]
+        assert stats["kernel_calls"] == 3 * (stats["doublings"] + 1)
+        assert stats["kernel_points"] == 2 * sum(engine._FIRST_STEPS * 2**k
+                                                 for k in range(stats["doublings"] + 1))
+        assert 0 < stats["error_estimate"] <= traj.tol
+        assert stats["unitarity_defect_max"] <= 1e-12
+
+    def test_unitarity_defect_does_not_grow_with_the_step_count(self):
+        # cos r rounded near 1 errs alike on equal steps; summed over 65,536
+        # steps that error would reach about 5e-12
+        _, _, traj = precessing_run(0.02, 90.0, 5)
+        assert traj.stats["steps"] >= 2**15
+        assert traj.stats["unitarity_defect_max"] <= 1e-14
+
+    def test_estimate_bounds_the_error(self):
+        theta, t_end, traj = precessing_run(0.1, 60.0, 3)
+        err = np.max(np.abs(traj.amplitudes(traj.ts)[0] - rotating.exact_S(0.1, theta, traj.ts)))
+        assert err <= 2 * traj.stats["error_estimate"]
+
+    def test_sampled_path_matches_an_independent_integrator(self):
+        from scipy.integrate import solve_ivp
+
+        u = np.linspace(0.0, 6.0, 121)
+        path = SampledPath(u, 1.2 + 0.3 * np.sin(0.9 * u), 0.4 * u + 0.2 * np.cos(1.3 * u),
+                           0.5 + 0.1 * np.sin(0.5 * u))
+        kernel = make_kernel(path)
+        traj = engine.evolve(kernel, path.duration)
+
+        def rhs(t, y):
+            F = complex(kernel.F(t))
+            I, S = y[0] + 1j * y[1], y[2] + 1j * y[3]
+            return [(F * S).real, (F * S).imag, (-np.conj(F) * I).real, (-np.conj(F) * I).imag]
+
+        ref = solve_ivp(rhs, (0.0, path.duration), [0.0, 0.0, 1.0, 0.0], method="DOP853",
+                        rtol=1e-13, atol=1e-13, t_eval=traj.ts)
+        S, I = traj.amplitudes(traj.ts)
+        assert np.max(np.abs(S - (ref.y[2] + 1j * ref.y[3]))) <= 1e-8
+        assert np.max(np.abs(I - (ref.y[0] + 1j * ref.y[1]))) <= 1e-8
+        g_minus, g_plus, _, _ = traj.phases(path.duration)
+        assert abs(g_minus - berry_phase(path, -1, path.duration)) <= 1e-9
+        assert abs(g_plus - berry_phase(path, +1, path.duration)) <= 1e-9
+
+    def test_non_finite_kernel_fails_fast(self):
+        nan_after = CouplingKernel(
+            F=lambda t: np.where(t < 0.3, 0.1 + 0j, np.nan),
+            delta=lambda t: 1.0 + 0 * t,
+            Gamma_minus=lambda t: 0.1 + 0 * t,
+            gamma_rates=lambda t: (0 * t, 0 * t),
+            delta_integral=lambda t: t,
+        )
+        start = time.perf_counter()
+        with pytest.raises(engine.StepFailureError, match="not finite at t = ") as info:
+            engine.evolve(nan_after, 1.0)
+        assert time.perf_counter() - start <= 1.0
+        t_bad = float(re.search(r"t = (\S+)", str(info.value)).group(1))
+        assert 0.3 <= t_bad <= 0.3 + 1.0 / engine._FIRST_STEPS
+
+    def test_step_budget_names_the_pole(self):
+        pole = CouplingKernel(
+            F=lambda t: 1.0 / (0.5 - t),
+            delta=lambda t: 1.0,
+            Gamma_minus=lambda t: 1.0 / (0.5 - t),
+            gamma_rates=lambda t: (0.0, 0.0),
+            delta_integral=lambda t: t,
+        )
+        start = time.perf_counter()
+        with pytest.raises(engine.StepFailureError, match=f"{engine.MAX_STEPS} steps") as info:
+            engine.evolve(pole, 1.0)
+        assert time.perf_counter() - start <= 10.0
+        t_worst = float(re.search(r"t = (\S+)", str(info.value)).group(1))
+        assert abs(t_worst - 0.5) <= 1e-3

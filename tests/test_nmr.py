@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from nadphase import nmr
+from nadphase._fmt import csv_text
+from nadphase.rotating import exact_S
 from nadphase.sweep import dimensionless_params
 
 THETA60 = math.radians(60.0)
@@ -124,3 +126,19 @@ class TestMagnetizationTable:
         np.testing.assert_allclose(table[:, 2], 60.0)
         # Mx bounded by A^2 <= 1
         assert np.all(np.abs(table[:, 3]) <= 1 + 1e-12)
+
+
+@pytest.mark.parametrize("x, theta_deg, n_max", [(0.3, 60.0, 50), (2.0, 30.0, 20),
+                                                 (0.05, 150.0, 30)])
+def test_table_rows_are_the_per_cycle_points(x, theta_deg, n_max):
+    # each row once more from the public per-cycle functions, byte for byte in the CSV
+    theta = math.radians(theta_deg)
+    rows = []
+    for n in range(1, n_max + 1):
+        exact = nmr.transverse_magnetization_exact(x, theta, n)
+        approx = nmr.magnetization_approx(x, theta, n)
+        rows.append([n, x, math.degrees(theta), exact.M_x, approx.M_x, exact.arg_exact, approx.arg_approx,
+                     abs(exact_S(x, theta, exact.t)) ** 2])
+    table = nmr.magnetization_table(x, theta, n_max)
+    assert csv_text(nmr.MAGNETIZATION_HEADER, table) == csv_text(nmr.MAGNETIZATION_HEADER, rows)
+    assert table.tobytes() == np.array(rows).tobytes()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 
 from nadphase import engine
@@ -162,6 +162,16 @@ class TestBerryPhase:
             assert abs(berry_phase(path, level, 3.0)
                        - berry_phase(ref, level, 3.0)) <= 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    def test_sampled_varied_path(self):
+        # θ, φ and R all vary; the reference is a fine Simpson sum of γ̇±
+        path = SampledPath(*varied_samples())
+        u = np.linspace(0.0, 5.0, 200_001)
+        theta, _, _, _, phi_dot = path.state(u)
+        for level, half in ((+1, np.sin(theta / 2)), (-1, np.cos(theta / 2))):
+            reference = simpson(-phi_dot * half**2, x=u)
+            assert abs(berry_phase(path, level, 5.0) - reference) <= 1e-9
+
     def test_bad_level(self):
         with pytest.raises(ValueError):
             berry_phase(PrecessingPath(R=1.0, theta=0.8, omega=0.3), 0, 1.0)
@@ -194,6 +204,21 @@ class TestKernel:
         for t in (0.5, 1.5):
             deriv = (kernel.delta_integral(t + h) - kernel.delta_integral(t - h)) / (2 * h)
             assert abs(deriv - kernel.delta(t)) <= 1e-6
+
+
+@pytest.mark.parametrize("path", [PrecessingPath(R=1.0, theta=1.0, omega=0.6),
+                                  SampledPath(*varied_samples())], ids=["precessing", "sampled"])
+def test_kernel_members_take_arrays_of_times(path):
+    kernel = make_kernel(path)
+    ts = np.linspace(0.0, 5.0, 12)
+    for name in ("F", "delta", "Gamma_minus", "gamma_rates", "delta_integral"):
+        member = getattr(kernel, name)
+        values = np.asarray(member(ts))
+        pointwise = np.array([member(t) for t in ts]).T
+        assert values.shape == pointwise.shape
+        np.testing.assert_allclose(values, pointwise, rtol=1e-14, atol=1e-15)
+        grid = np.asarray(member(ts.reshape(3, 4)))
+        np.testing.assert_array_equal(grid, values.reshape(values.shape[:-1] + (3, 4)))
 
 
 class TestSampledKernelOracle:
