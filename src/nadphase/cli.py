@@ -15,14 +15,15 @@ failed validation checks), 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from dataclasses import dataclass
 
-from . import engine, nmr, sweep, validate
+from . import engine, nmr, paths
 from ._fmt import format_value, json_text, write_csv
-from .paths import PrecessingPath, coupling_at, instantaneous_eigensystem, load_path_csv, make_kernel
+from .paths import PrecessingPath, coupling_at, instantaneous_eigensystem, make_kernel
 
 
 class ConfigError(ValueError):
@@ -57,6 +58,12 @@ class RunConfig:
             raise ConfigError("phase-sweep takes x_f, not x")
 
 
+def _write_json(obj, out: str | None) -> None:
+    """``obj`` as JSON to the file ``out``, or to stdout when it is not given."""
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(json_text(obj))
+
+
 def _cmd_eigen(cfg: RunConfig) -> int:
     if cfg.theta_deg is None:
         raise ConfigError("eigen requires --theta-deg")
@@ -85,12 +92,7 @@ def _cmd_eigen(cfg: RunConfig) -> int:
             "Gamma_minus": [frame.Gamma_minus.real, frame.Gamma_minus.imag],
             "delta": frame.delta,
         })
-    text = json_text(payload)
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(payload, cfg.out)
     return 0
 
 
@@ -103,7 +105,7 @@ def _cmd_evolve(cfg: RunConfig) -> int:
         raise ConfigError("evolve requires --theta-deg and --x (or --path-file)")
     try:
         if cfg.path_file:
-            path = load_path_csv(cfg.path_file)
+            path = paths.load_path_csv(cfg.path_file)  # loads nadphase.sampled
         else:
             path = PrecessingPath.dimensionless(cfg.x, math.radians(cfg.theta_deg))
     except ValueError as exc:  # a malformed file or an out-of-range parameter
@@ -116,6 +118,7 @@ def _cmd_evolve(cfg: RunConfig) -> int:
 
 
 def _cmd_phase_sweep(cfg: RunConfig) -> int:
+    from . import sweep  # loads scipy, which the other commands do not need
     if cfg.theta_deg is None or cfg.x_f is None:
         raise ConfigError("phase-sweep requires --theta-deg and --xf")
     if cfg.out is None:
@@ -144,13 +147,9 @@ def _cmd_nmr(cfg: RunConfig) -> int:
 
 
 def _cmd_validate(cfg: RunConfig) -> int:
+    from . import validate
     report = validate.run_validation(tol=cfg.tol)
-    text = json_text(report)
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(report, cfg.out)
     for check in report["checks"]:
         status = "pass" if check["pass"] else "FAIL"
         sys.stderr.write(

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .paths import CouplingKernel, gauss_nodes, instantaneous_eigensystem
 
@@ -102,7 +101,7 @@ class Trajectory:
 
     def __init__(self, kernel, ts, psi, rates, tol: float, stats: dict):
         self._kernel, self.ts, self._psi, self.tol, self.stats = kernel, ts, psi, tol, stats
-        increments = 0.5 * (ts[1] - ts[0]) * rates.sum(axis=-1)
+        increments = 0.5 * np.diff(ts[:2]) * rates.sum(axis=-1)  # the step; none on one node
         self._phases = np.concatenate([np.zeros((4, 1)), np.cumsum(increments, axis=1)], axis=1)
         self._rho_nodes = np.unwrap(np.angle(psi[0]))
 
@@ -147,13 +146,17 @@ def evolve(kernel: CouplingKernel, t_end: float, tol: float = 1e-10) -> Trajecto
     ψ = (S, I), max|ψ₂ₙ − ψₙ|/15 over common nodes, is at most ``tol``. Raises
     StepFailureError, naming a time, on a kernel value that is not finite or
     when MAX_STEPS steps do not reach ``tol``; each kernel member is sampled
-    at every level's Gauss nodes."""
+    at every level's Gauss nodes. t_end = 0 gives the one node t = 0."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not 0 <= t_end < math.inf:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
     if t_end > kernel.t_max:
         raise ValueError(f"t_end = {t_end} runs past the path's last sample at {kernel.t_max}")
+    if t_end == 0:  # one node, S = 1 and I = 0, with nothing to step
+        stats = dict.fromkeys(["steps", "doublings", "kernel_calls", "kernel_points"], 0)
+        return Trajectory(kernel, np.zeros(1), np.eye(2, 1, dtype=complex), np.zeros((4, 0, 2)),
+                          tol, stats | {"error_estimate": 0.0, "unitarity_defect_max": 0.0})
     n, coarse = _FIRST_STEPS, None
     while True:
         ts = np.linspace(0.0, t_end, n + 1)
@@ -252,12 +255,6 @@ def sliced_propagator(path, t: float, n: int) -> SlicedPropagatorResult:
     return SlicedPropagatorResult(U=U, P_minus=complex(P_minus), T_minus=complex(T_minus))
 
 
-def _cumulative_simpson_complex(y: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    # scipy's cumulative_simpson casts complex input to real, so split parts
-    return (cumulative_simpson(y.real, x=ts, initial=0.0)
-            + 1j * cumulative_simpson(y.imag, x=ts, initial=0.0))
-
-
 def series_persistence(kernel: CouplingKernel, t: float, order: int,
                        quad_tol: float = 1e-12) -> complex:
     """Truncated transition-series estimate of S(t).
@@ -276,16 +273,22 @@ def series_persistence(kernel: CouplingKernel, t: float, order: int,
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
     if order == 0:
         return 1.0 + 0j
+    from scipy.integrate import cumulative_simpson  # an oracle: the engine itself needs numpy only
+
+    def integral(y, ts):
+        # scipy's cumulative_simpson casts complex input to real, so split parts
+        return (cumulative_simpson(y.real, x=ts, initial=0.0)
+                + 1j * cumulative_simpson(y.imag, x=ts, initial=0.0))
 
     def estimate(m: int) -> complex:
         ts = np.linspace(0.0, t, m + 1)
         F = kernel.F(ts)
-        A0 = _cumulative_simpson_complex(F, ts)
-        A1 = _cumulative_simpson_complex(np.conj(F) * A0, ts)
+        A0 = integral(F, ts)
+        A1 = integral(np.conj(F) * A0, ts)
         S = 1.0 - A1[-1]
         if order >= 2:
-            A2 = _cumulative_simpson_complex(F * A1, ts)
-            A3 = _cumulative_simpson_complex(np.conj(F) * A2, ts)
+            A2 = integral(F * A1, ts)
+            A3 = integral(np.conj(F) * A2, ts)
             S = S + A3[-1]
         return complex(S)
 

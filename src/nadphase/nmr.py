@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import instantaneous_eigensystem
-from .rotating import exact_S, exact_rho, propagate_exact
-from .sweep import dimensionless_params
+from .rotating import exact_S, exact_rho, propagate_exact, solve_rotating_frame
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ def closed_form_amplitudes(x: float, theta: float, t: float):
     S = exact_S(x, theta, t)
     A = abs(S)
     rho = exact_rho(x, theta, t)
-    _, e, _ = dimensionless_params(x, theta)
+    e = solve_rotating_frame(x, theta).e
     C_hat = (x * math.sin(theta) / e) * abs(math.sin(e * t / 2))
     cos_t = math.cos(theta)
     P_minus = A * np.exp(1j * (0.5 * t - 0.5 * x * t * (1 + cos_t) + rho))
@@ -85,8 +84,7 @@ def exact_amplitudes(x: float, theta: float, t: float):
 
 
 def _arg_exact(x: float, theta: float, tau: float) -> float:
-    d, _, _ = dimensionless_params(x, theta)
-    return float(d * tau + 2 * exact_rho(x, theta, tau))
+    return float(solve_rotating_frame(x, theta).d * tau + 2 * exact_rho(x, theta, tau))
 
 
 def _arg_approx(x: float, theta: float, n: int) -> float:

@@ -2,9 +2,9 @@
 
 A two-level system couples to a classical vector R(t) through H(t) = R(t)·σ,
 with R(t) parameterized by a magnitude R and spherical angles (θ, φ). This
-module defines the path families (uniform precession and sampled/interpolated
-paths), the instantaneous eigensystem of H(t) in a fixed gauge, and the
-derived coupling quantities that drive the amplitude evolution:
+module defines the uniform precession (sampled paths are in ``nadphase.sampled``
+and forwarded here), the instantaneous eigensystem of H(t) in a fixed gauge,
+and the derived coupling quantities that drive the amplitude evolution:
 
     γ̇₊ = −φ̇ sin²(θ/2)          γ̇₋ = −φ̇ cos²(θ/2)
     Γ₋  = θ̇/2 − (i/2) φ̇ sinθ    δ  = 2R − φ̇ cosθ
@@ -18,13 +18,11 @@ allowed and simply have Γ₋ = 0. Both path kinds expose ``state(t)`` =
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import InitVar, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 
 class GaugeSingularityError(ValueError):
@@ -114,88 +112,6 @@ class PrecessingPath:
 
     def magnitude(self, t):
         return self.R
-
-
-class SampledPath:
-    """Path given as (t, θ, φ, R) samples with cubic interpolation.
-
-    Time is measured from the first sample: ``self.t`` starts at 0 and every
-    method takes window-relative times in [0, ``duration``]. Derivatives θ̇, φ̇
-    come from the interpolant. Samples must be finite, with strictly
-    increasing t, R > 0, and θ strictly inside (0, π).
-    """
-
-    kind = "sampled"
-
-    def __init__(self, t, theta, phi, R):
-        t = np.asarray(t, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        R = np.asarray(R, dtype=float)
-        if t.ndim != 1 or len(t) < 4:
-            raise ValueError("need at least 4 samples for cubic interpolation")
-        if not (t.shape == theta.shape == phi.shape == R.shape):
-            raise ValueError("t, theta, phi, R must have equal length")
-        columns = np.column_stack([theta, phi, R])
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(columns))):
-            raise ValueError("samples must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        if np.any(R <= 0):
-            raise ValueError("R must stay positive along the path")
-        if np.any(theta <= 0) or np.any(theta >= math.pi):
-            raise GaugeSingularityError("sampled paths require theta strictly in (0, pi)")
-        self.t = t - t[0]
-        self.duration = float(self.t[-1])
-        # one piecewise cubic over the columns (θ, φ, R, θ̇, φ̇): the derivative's
-        # quadratic coefficients are padded with a zero cubic term
-        spline = CubicSpline(self.t, columns)
-        rates = spline.derivative().c[:, :, :2]
-        rates = np.concatenate([np.zeros_like(rates[:1]), rates])
-        self._spline = PPoly(np.concatenate([spline.c, rates], axis=2), spline.x)
-
-    def state(self, t):
-        """(θ, φ, R, θ̇, φ̇) at a scalar time (floats) or an array of times
-        (arrays), from one spline evaluation. Raises GaugeSingularityError
-        where the interpolated θ leaves (0, π)."""
-        values = self._spline(t)
-        if values.ndim == 1:
-            values = values.tolist()
-            if not 0 < values[0] < math.pi:
-                raise GaugeSingularityError(f"theta(t={t}) = {values[0]} outside (0, pi)")
-            return tuple(values)
-        theta = values[..., 0].ravel()
-        bad = ~((theta > 0) & (theta < math.pi))
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise GaugeSingularityError(
-                f"theta(t={np.ravel(t)[i]}) = {theta[i]} outside (0, pi)")
-        return tuple(np.moveaxis(values, -1, 0))
-
-    def angles(self, t):
-        theta, phi, _, _, _ = self.state(t)
-        return theta, phi
-
-    def rates(self, t):
-        _, _, _, theta_dot, phi_dot = self.state(t)
-        return theta_dot, phi_dot
-
-    def magnitude(self, t):
-        return self.state(t)[2]
-
-
-def load_path_csv(file) -> SampledPath:
-    """Read a sampled path from CSV with header ``t,theta,phi,R`` (radians)."""
-    with open(file, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t", "theta", "phi", "R"]:
-            raise ValueError(f"expected header 't,theta,phi,R', got {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        raise ValueError("path file contains no samples")
-    data = np.array(rows)
-    return SampledPath(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
 
 
 def instantaneous_eigensystem(theta: float, phi: float, R: float = 1.0):
@@ -296,15 +212,11 @@ def make_kernel(path) -> CouplingKernel:
             gamma_rates=lambda t: (g_plus + 0 * t, g_minus + 0 * t),
             delta_integral=lambda t: delta0 * t,
         )
+    return path.kernel()  # a SampledPath, so nadphase.sampled is loaded
 
-    t_fine = np.linspace(0.0, path.duration, max(1024, 8 * len(path.t)))
-    # the antiderivative vanishes at its first breakpoint, t = 0
-    phase = CubicSpline(t_fine, _detuning(path.state(t_fine))).antiderivative()
-    return CouplingKernel(
-        F=lambda t: _coupling(path.state(t)) * np.exp(1j * phase(t)),
-        delta=lambda t: _detuning(path.state(t)),
-        Gamma_minus=lambda t: _coupling(path.state(t)),
-        gamma_rates=lambda t: _berry_rates(path.state(t)),
-        delta_integral=lambda t: phase(t)[()],
-        t_max=path.duration,
-    )
+
+def __getattr__(name):  # the sampled-path names import nadphase.sampled, and scipy with it
+    if name in ("SampledPath", "load_path_csv"):
+        from . import sampled
+        return getattr(sampled, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

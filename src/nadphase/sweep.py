@@ -31,6 +31,7 @@ FIRST_ITERATION_C1 = 0.25
 FIRST_ITERATION_C2 = 1.0 / 3.0
 BERRY_COMPARISON_C1 = 0.5
 BERRY_COMPARISON_C2 = 1.0
+MAX_POLES = 2**16  # tangent-pole orders a sweep may cross, e_max·s/x_f (README, "Command line")
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,8 @@ class SweepConfig:
             raise ValueError(f"cycle count s must be finite and positive, got {self.s}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if max(1.0, _params(self.x_f, math.cos(self.theta))[1]) * self.s / self.x_f > MAX_POLES:
+            raise ValueError(f"s/x_f = {self.s / self.x_f:.4g}: over {MAX_POLES} tangent poles")
 
     @property
     def tau(self) -> float:
@@ -163,7 +166,8 @@ def epsilon_sweep(cfg: SweepConfig) -> PhaseCurve:
     segments.append((lo, cfg.x_f))
 
     for a, b in segments:
-        if b <= a:
+        inside = (xs >= a) & (xs <= b)
+        if b <= a or not np.any(inside):  # no grid point to fill
             continue
         seed = 1.0 if a == 0.0 else float(epsilon_unwrap(cfg, a))
         sol = solve_ivp(rhs, (a, b), [seed], method="RK45",
@@ -171,7 +175,6 @@ def epsilon_sweep(cfg: SweepConfig) -> PhaseCurve:
         if not sol.success:
             raise RuntimeError(
                 f"epsilon sweep failed on [{a}, {b}] at x = {sol.t[-1]}: {sol.message}")
-        inside = (xs >= a) & (xs <= b)
         eps[inside] = sol.sol(xs[inside])[0]
 
     gaps = np.isnan(eps)

@@ -1,9 +1,14 @@
 import json
+import random
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+
+from nadphase import cli
 
 
 def run_cli(*args, cwd=None, timeout=None):
@@ -46,6 +51,13 @@ class TestEvolveCommand:
         assert res.returncode == 0, res.stderr
         _, data = read_csv(out)
         assert np.max(data[:, 7]) <= 1e-9
+
+    def test_zero_tau_writes_one_row(self, tmp_path):
+        out = tmp_path / "t.csv"
+        res = run_cli("evolve", "--theta-deg", "40", "--x", "0.3", "--tau", "0",
+                      "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert out.read_text().splitlines()[1:] == ["0,1,0,0,0,0,1,0"]
 
     def test_tau_beyond_path_duration_rejected(self, tmp_path):
         path_file = tmp_path / "path.csv"
@@ -175,6 +187,8 @@ class TestExitCodes:
         ("nmr", "--theta-deg", "nan", "--x", "0.3"),
         ("phase-sweep", "--theta-deg", "60", "--xf", "nan"),
         ("phase-sweep", "--theta-deg", "nan", "--xf", "0.3"),
+        ("phase-sweep", "--theta-deg", "60", "--xf", "0.3", "--s", "1e300"),
+        ("phase-sweep", "--theta-deg", "60", "--xf", "1e-300"),
     ])
     def test_non_finite_or_negative_input(self, tmp_path, args):
         res = run_cli(*args, "--out", str(tmp_path / "o.csv"), timeout=30)
@@ -200,3 +214,104 @@ class TestExitCodes:
                       "--out", str(tmp_path / "t.csv"), timeout=30)
         assert res.returncode == 3, res.stderr
         assert "outside (0, pi)" in res.stderr
+
+
+# In-process fuzzing of cli.main: seeded argument vectors, each a valid call
+# of one subcommand with one or two flags dropped or set to a non-finite,
+# negative, huge, tiny or malformed value, a bad path file or a bad config.
+# Integer flags (--n, --grid) stay small: their cost grows with the value by
+# design, so a huge one runs as long as it asks to.
+FUZZ_SEED = 1
+FUZZ_CASES = 60
+CASE_SECONDS = 5.0  # evolve's step budget ends a run in about 1.4 s
+FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "-1e300", "0.3", "2.5", "60", "x"]
+INTS = ["-2", "0", "1", "3", "2.5", "nan"]
+VALID = {
+    "eigen": {"--theta-deg": "60", "--phi-deg": "10", "--r": "1", "--omega": "0.4"},
+    "evolve": {"--theta-deg": "60", "--x": "0.3", "--tau": "5", "--tol": "1e-10"},
+    "phase-sweep": {"--theta-deg": "60", "--xf": "0.3", "--s": "1", "--grid": "64",
+                    "--tol": "1e-10"},
+    "nmr": {"--theta-deg": "60", "--x": "0.3", "--n": "3"},
+    "validate": {"--tol": "1e-10"},
+}
+SMOOTH = [f"{0.5 * i},{1.2 + 0.1 * i},{0.3 * i},0.5" for i in range(12)]
+PATH_FILES = {
+    "good": SMOOTH,
+    "bad_header": ["t,theta,phi"] + SMOOTH,
+    "empty": None,
+    "header_only": [],
+    "text": SMOOTH[:5] + ["1e9,abc,0,0.5"],
+    "non_monotone": ["0,1.2,0,0.5", "1,1.2,0,0.5", "0.5,1.2,0,0.5", "2,1.2,0,0.5", "3,1.2,0,0.5"],
+    "repeated_t": ["0,1.2,0,0.5", "1,1.2,0,0.5", "1,1.2,0,0.5", "2,1.2,0,0.5", "3,1.2,0,0.5"],
+    "three_rows": SMOOTH[:3],
+    "ragged": SMOOTH[:5] + ["3,1.2,0"],
+    "nan": SMOOTH[:5] + ["3,nan,0,0.5"] + SMOOTH[7:],
+    "negative_R": SMOOTH[:5] + ["3,1.2,0,-0.5"] + SMOOTH[7:],
+    "overshoot": [f"{i},{th},{0.3 * i},0.5" for i, th in enumerate([1, 1, 1, 3.14, 3.14, 1, 1, 1])],
+    "huge_t": [f"{i}e300,1.2,{i},0.5" for i in range(6)],
+}
+CONFIGS = {"not_json": "{", "a_list": "[1, 2]", "unknown_field": '{"bogus": 1}',
+           "wrong_type": '{"grid": "many", "x": [1]}', "nmr": '{"command": "nmr", "n": 2}'}
+
+
+def _fuzz_argv(rng, files):
+    command = rng.choice(sorted(VALID))
+    flags = dict(VALID[command])
+    candidates = sorted(flags) + {"evolve": ["--path-file"]}.get(command, [])
+    for flag in rng.sample(candidates, min(rng.choice([1, 2]), len(candidates))):
+        if flag in flags and rng.random() < 0.2:
+            del flags[flag]
+        else:
+            pool = {"--grid": INTS, "--n": INTS, "--path-file": files["paths"]}.get(flag, FLOATS)
+            flags[flag] = rng.choice(pool)
+    argv = [command] + [f"{flag}={value}" for flag, value in flags.items()]
+    argv.append(f"--out={files['bad_out'] if rng.random() < 0.1 else files['out']}")
+    if rng.random() < 0.15:
+        argv += ["--config", rng.choice(files["configs"])]
+    return argv
+
+
+class _Overrun(BaseException):  # not an Exception, so cli.main cannot turn it into exit 3
+    pass
+
+
+def _raise_overrun(signum, frame):
+    raise _Overrun
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on huge inputs
+def test_fuzzed_arguments_exit_cleanly_and_in_time(tmp_path, capsys):
+    files = {"paths": [str(tmp_path / "missing.csv"), str(tmp_path)],
+             "out": str(tmp_path / "out"), "bad_out": str(tmp_path / "no-dir" / "out"),
+             "configs": [str(tmp_path / "missing.json")]}
+    for name, rows in PATH_FILES.items():
+        (tmp_path / f"{name}.csv").write_text(
+            "" if rows is None else "\n".join(["t,theta,phi,R"] + rows) + "\n")
+        files["paths"].append(str(tmp_path / f"{name}.csv"))
+    for name, text in CONFIGS.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        files["configs"].append(str(tmp_path / f"{name}.json"))
+    rng = random.Random(FUZZ_SEED)
+    argvs = [_fuzz_argv(rng, files) for _ in range(FUZZ_CASES)]
+    argvs += [["evolve", f"--path-file={path}", "--tau=2", f"--out={files['out']}"]
+              for path in files["paths"]]
+    # a run that hangs is stopped at twice the bound, and then fails the bound
+    previous = signal.signal(signal.SIGALRM, _raise_overrun)
+    try:
+        for argv in argvs:
+            start = time.perf_counter()
+            signal.setitimer(signal.ITIMER_REAL, 2 * CASE_SECONDS)
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:  # argparse rejects a value it cannot parse
+                code = exc.code
+            except _Overrun:
+                code = None
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            elapsed = time.perf_counter() - start
+            capsys.readouterr()
+            assert code in (0, 2, 3, 4), argv
+            assert elapsed <= CASE_SECONDS, (argv, elapsed)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nadphase import engine, rotating
+from nadphase import engine, nmr, rotating
 from nadphase.paths import (
     CouplingKernel,
     PrecessingPath,
     SampledPath,
     berry_phase,
     gauss_nodes,
+    instantaneous_eigensystem,
     make_kernel,
 )
 
@@ -73,6 +74,21 @@ class TestEvolve:
         kernel = make_kernel(PrecessingPath.dimensionless(0.1, THETA60))
         with pytest.raises(ValueError, match="t_end"):
             engine.evolve(kernel, t_end)
+
+    @pytest.mark.parametrize("path", [
+        PrecessingPath.dimensionless(0.3, math.radians(40.0)),
+        SampledPath(np.linspace(0.0, 4.0, 41), np.full(41, THETA60), np.linspace(0.0, 1.2, 41),
+                    np.ones(41)),
+    ], ids=["precessing", "sampled"])
+    def test_zero_end_time_is_one_node(self, path):
+        traj = engine.evolve(make_kernel(path), 0.0)
+        assert traj.ts.tolist() == [0.0]
+        assert traj.stats["steps"] == 0
+        table = engine.trajectory_table(traj)
+        assert table.tolist() == [[0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]]
+        assert traj.amplitudes(0.0) == (1.0, 0.0)
+        assert traj.phases(0.0) == (0.0, 0.0, 0.0, 0.0)
+        assert engine.assemble(traj, path, 0.0).P_minus == 1.0
 
     def test_rejects_end_time_past_sampled_path(self):
         ts = np.linspace(0.0, 4.0, 81)
@@ -320,6 +336,48 @@ class TestMagnusProperties:
         assert S.imag.tobytes() == table[:, 2].tobytes()
         assert I.real.tobytes() == table[:, 3].tobytes()
         assert I.imag.tobytes() == table[:, 4].tobytes()
+
+
+class TestInvariants:
+    @settings(max_examples=25, deadline=None)
+    @given(x=st.floats(0.02, 0.9), theta_deg=st.floats(5.0, 175.0), tau=st.floats(0.1, 40.0),
+           phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=4, max_size=4))
+    def test_amplitude_magnitudes_do_not_depend_on_the_eigenvector_phases(
+            self, x, theta_deg, tau, phases):
+        # project the exact propagator onto eigenvectors times arbitrary phases
+        theta = math.radians(theta_deg)
+        _, _, vp0, vm0 = instantaneous_eigensystem(theta, 0.0)
+        _, _, vpt, vmt = instantaneous_eigensystem(theta, x * tau)
+        a, b, c, d = np.exp(1j * np.array(phases))
+        from_minus = rotating.propagate_exact(x, theta, tau, a * vm0)
+        from_plus = rotating.propagate_exact(x, theta, tau, b * vp0)
+        phased = [np.vdot(c * vmt, from_minus), np.vdot(d * vpt, from_plus),
+                  np.vdot(d * vpt, from_minus), np.vdot(c * vmt, from_plus)]
+        fixed = nmr.exact_amplitudes(x, theta, tau)  # (P₋, P₊, T₋, T₊) in the fixed gauge
+        np.testing.assert_allclose(np.abs(phased), np.abs(fixed), rtol=0, atol=1e-12)
+        # the engine's |S| and |I| are |P±| and |T±| in every gauge
+        S, I = engine.evolve(make_kernel(PrecessingPath.dimensionless(x, theta)),
+                             tau).amplitudes(tau)
+        np.testing.assert_allclose(np.abs(phased), [abs(S), abs(S), abs(I), abs(I)],
+                                   rtol=0, atol=1e-8)
+
+    @settings(max_examples=25, deadline=None)
+    @given(t0=st.floats(0.0, 10.0), duration=st.floats(0.5, 6.0),
+           theta_amp=st.floats(0.05, 0.5), theta_freq=st.floats(0.1, 3.0),
+           phi_rate=st.floats(-2.0, 2.0), phi_amp=st.floats(0.05, 1.0),
+           R_amp=st.floats(0.05, 0.3), R_freq=st.floats(0.1, 3.0))
+    def test_rho_vanishes_at_the_start_of_a_sampled_path(
+            self, t0, duration, theta_amp, theta_freq, phi_rate, phi_amp, R_amp, R_freq):
+        u = np.linspace(0.0, duration, 61)
+        path = SampledPath(u + t0, 1.5 + theta_amp * np.sin(theta_freq * u),
+                           phi_rate * u + phi_amp * np.cos(1.3 * u),
+                           0.5 + R_amp * np.sin(R_freq * u))
+        traj = engine.evolve(make_kernel(path), path.duration)
+        assert traj.rho(0.0) == 0.0
+        assert engine.trajectory_table(traj)[0, 5] == 0.0
+        assert engine.assemble(traj, path, 0.0).rho == 0.0
+        # and ρ leaves 0 continuously: the branch is the one through ρ(0) = 0
+        assert np.max(np.abs(np.diff(traj.rho(traj.ts)))) < math.pi / 2
 
 
 class TestStepDoubling:

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from nadphase.sweep import (
+    MAX_POLES,
     PhaseCurve,
     SweepConfig,
     _tangent_poles,
@@ -80,6 +81,13 @@ class TestEpsilonSweep:
         curve = epsilon_sweep(cfg)
         assert np.max(np.abs(curve.eps - epsilon_unwrap(cfg, curve.xs))) <= 1e-6
 
+    def test_more_poles_than_grid_points(self):
+        # most segments between poles hold no grid point and need no ODE run
+        cfg = SweepConfig(theta=math.radians(30.0), x_f=0.9, s=60.0, grid=8)
+        assert len(_tangent_poles(cfg)) > cfg.grid
+        curve = epsilon_sweep(cfg)
+        assert np.max(np.abs(curve.eps - epsilon_unwrap(cfg, curve.xs))) <= 1e-6
+
     def test_epsilon_envelope(self):
         curve = epsilon_sweep(FIG1)
         _, e, g = dimensionless_params(curve.xs, THETA60)
@@ -101,6 +109,13 @@ class TestEpsilonSweep:
                     {"s": math.inf}, {"tol": math.nan}):
             with pytest.raises(ValueError):
                 SweepConfig(**{"theta": 1.0, "x_f": 0.3, **bad})
+
+    def test_pole_count_is_bounded(self):
+        # e_max·s/x_f counts the tangent-pole orders; e ≤ e(0) = 1 on [0, 1] at θ = 60°
+        SweepConfig(theta=THETA60, x_f=0.5, s=0.5 * MAX_POLES - 1)
+        for bad in ({"s": 0.5 * MAX_POLES + 1}, {"s": 1e300}, {"x_f": 1e-300}):
+            with pytest.raises(ValueError, match="tangent poles"):
+                SweepConfig(**{"theta": THETA60, "x_f": 0.5, "s": 1.0, **bad})
 
 
 def _probed_poles(cfg, n):
