@@ -12,8 +12,8 @@ loads its module on first use, so ``import nadphase`` itself needs numpy only.
 import importlib
 
 _EXPORTS = {
-    "engine": ("AmplitudeResult", "StepFailureError", "Trajectory", "assemble", "closed_form_I",
-               "closed_form_S", "evolve", "series_persistence", "sliced_propagator"),
+    "engine": ("AmplitudeResult", "StepFailureError", "Trajectory", "assemble", "evolve",
+               "series_persistence", "sliced_propagator"),
     "nmr": ("MagnetizationPoint", "closed_form_amplitudes", "direct_expectation",
             "exact_amplitudes", "magnetization_approx", "transverse_magnetization_exact"),
     "paths": ("CouplingKernel", "EigenFrame", "GaugeSingularityError", "PrecessingPath",

@@ -9,7 +9,8 @@ configuration fields can be passed with ``--config``; explicit flags override
 its values. All outputs are deterministic for a fixed configuration.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (including
-failed validation checks), 4 I/O error.
+failed validation checks), 4 I/O error (an unwritable ``--out`` is found before
+the numerics run).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -67,6 +69,9 @@ def _write_json(obj, out: str | None) -> None:
 def _cmd_eigen(cfg: RunConfig) -> int:
     if cfg.theta_deg is None:
         raise ConfigError("eigen requires --theta-deg")
+    if not (0 <= cfg.theta_deg <= 180 and math.isfinite(cfg.phi_deg) and 0 < cfg.r < math.inf):
+        raise ConfigError("eigen needs --theta-deg in [0, 180], a finite --phi-deg and a finite "
+                          f"--r > 0, got {cfg.theta_deg}, {cfg.phi_deg} and {cfg.r}")
     theta = math.radians(cfg.theta_deg)
     phi = math.radians(cfg.phi_deg)
     E_plus, E_minus, v_plus, v_minus = instantaneous_eigensystem(theta, phi, cfg.r)
@@ -283,6 +288,10 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        out = cfg.out  # checked before any numerics; the file is not opened yet
+        if out is not None and (os.path.isdir(out)
+                                or not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK)):
+            raise OSError(f"cannot write {out!r}: not a file in a writable directory")
         return _COMMANDS[cfg.command](cfg)
     except ConfigError as exc:
         print(f"nadphase: configuration error: {exc}", file=sys.stderr)

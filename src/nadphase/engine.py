@@ -314,26 +314,3 @@ def trajectory_table(traj: Trajectory) -> np.ndarray:
         ts, S.real, S.imag, I.real, I.imag, traj._unwrap(ts, S), np.abs(S), _defect(S, I),
     ])
 
-
-def closed_form_I(x: float, theta: float, tau: float) -> complex:
-    """Transition integral for the precessing family, units 2R = 1.
-
-    I(τ) = −i (x sinθ / e) e^{i d τ/2} sin(e τ/2) with d = 1 − x cosθ and
-    e = √(1 − 2x cosθ + x²).
-    """
-    d = 1 - x * math.cos(theta)
-    e = math.sqrt(1 - 2 * x * math.cos(theta) + x * x)
-    return -1j * (x * math.sin(theta) / e) * np.exp(0.5j * d * tau) * math.sin(e * tau / 2)
-
-
-def closed_form_S(x: float, theta: float, tau: float) -> complex:
-    """Persistence factor for the precessing family via S = İ/F, units 2R = 1.
-
-    Differentiating closed_form_I and dividing by F(τ) = −i(x sinθ/2)e^{idτ}
-    gives S(τ) = e^{−i d τ/2} (cos(e τ/2) + i g sin(e τ/2)) with g = d/e.
-    """
-    d = 1 - x * math.cos(theta)
-    e = math.sqrt(1 - 2 * x * math.cos(theta) + x * x)
-    g = d / e
-    hd, he = d * tau / 2, e * tau / 2
-    return complex(np.cos(hd), -np.sin(hd)) * complex(np.cos(he), g * np.sin(he))

@@ -22,6 +22,8 @@ import numpy as np
 from .paths import instantaneous_eigensystem
 from .rotating import exact_S, exact_rho, propagate_exact, solve_rotating_frame
 
+MAX_CYCLES = 2**16  # rows of a magnetization table, about 50 µs each (README, "Command line")
+
 
 @dataclass(frozen=True)
 class MagnetizationPoint:
@@ -151,6 +153,8 @@ def magnetization_table(x: float, theta: float, n_max: int) -> np.ndarray:
     """Rows for cycles 1..n_max (columns per MAGNETIZATION_HEADER), with
     Mx_approx = A²·cos(arg_approx) as in magnetization_approx."""
     _cycle_tau(x, n_max)  # rejects x and n_max before any numerics
+    if n_max > MAX_CYCLES:
+        raise ValueError(f"cycle count n = {n_max} is over {MAX_CYCLES}")
     rows = []
     for n in range(1, n_max + 1):
         exact = transverse_magnetization_exact(x, theta, n)

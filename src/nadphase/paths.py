@@ -51,19 +51,16 @@ class EigenFrame:
 
 @dataclass(frozen=True)
 class CouplingKernel:
-    """The functions that drive the persistence evolution.
+    """The three functions ``engine.evolve`` reads.
 
     F(t) = Γ₋(t)·exp[i∫₀ᵗ δ(τ)dτ] carries every consequence of the
-    non-adiabatic motion; |F(t)| = |Γ₋(t)| for all t. ``gamma_rates``
-    returns (γ̇₊, γ̇₋) and ``delta_integral`` the accumulated phase ∫₀ᵗ δ.
-    ``t_max`` bounds where they are defined: a sampled path's duration.
+    non-adiabatic motion; ``delta`` is δ, ``gamma_rates`` returns (γ̇₊, γ̇₋),
+    and ``t_max`` bounds where they are defined: a sampled path's duration.
     """
 
     F: Callable[[float], complex]
     delta: Callable[[float], float]
-    Gamma_minus: Callable[[float], complex]
     gamma_rates: Callable[[float], tuple[float, float]]
-    delta_integral: Callable[[float], float]
     t_max: InitVar[float] = math.inf
 
     def __post_init__(self, t_max):
@@ -106,12 +103,6 @@ class PrecessingPath:
 
     def angles(self, t):
         return self.theta, self.omega * t
-
-    def rates(self, t):
-        return 0.0, self.omega
-
-    def magnitude(self, t):
-        return self.R
 
 
 def instantaneous_eigensystem(theta: float, phi: float, R: float = 1.0):
@@ -193,24 +184,20 @@ def gauss_nodes(t0, h):
 
 
 def make_kernel(path) -> CouplingKernel:
-    """Build the coupling kernel F, δ, Γ₋, (γ̇₊, γ̇₋), ∫δ for a path.
+    """Build the coupling kernel F, δ, (γ̇₊, γ̇₋) for a path.
 
-    Members take a time or an array of times. Precessing paths use the closed
-    forms F(t) = −iC e^{iδt} with C = (ω/2) sinθ, no integration error.
-    Sampled paths accumulate ∫δ with a spline antiderivative of δ tabulated
-    on a fine grid; a member makes one path evaluation, F one more of ∫δ.
+    Members take a time or an array of times. On a precessing path Γ₋, δ and
+    γ̇± are constant, so F(t) = Γ₋e^{iδt} exactly. Sampled paths accumulate
+    ∫δ with a spline antiderivative of δ tabulated on a fine grid; a member
+    makes one path evaluation, F one more of ∫δ.
     """
     if path.kind == "precessing":
-        C = path.omega / 2 * math.sin(path.theta)
-        delta0 = 2 * path.R - path.omega * math.cos(path.theta)
-        g_plus = -path.omega * math.sin(path.theta / 2) ** 2
-        g_minus = -path.omega * math.cos(path.theta / 2) ** 2
+        state = path.state(0.0)
+        Gamma, delta0, (g_plus, g_minus) = _coupling(state), _detuning(state), _berry_rates(state)
         return CouplingKernel(  # 0·t broadcasts the constants over arrays of times
-            F=lambda t: -1j * C * np.exp(1j * delta0 * t),
+            F=lambda t: Gamma * np.exp(1j * delta0 * t),
             delta=lambda t: delta0 + 0 * t,
-            Gamma_minus=lambda t: -1j * C + 0 * t,
             gamma_rates=lambda t: (g_plus + 0 * t, g_minus + 0 * t),
-            delta_integral=lambda t: delta0 * t,
         )
     return path.kernel()  # a SampledPath, so nadphase.sampled is loaded
 

@@ -72,12 +72,6 @@ class SampledPath:
     def angles(self, t):
         return self.state(t)[:2]
 
-    def rates(self, t):
-        return self.state(t)[3:]
-
-    def magnitude(self, t):
-        return self.state(t)[2]
-
     def kernel(self) -> CouplingKernel:
         """The coupling kernel that ``paths.make_kernel`` documents."""
         t_fine = np.linspace(0.0, self.duration, max(1024, 8 * len(self.t)))
@@ -86,9 +80,7 @@ class SampledPath:
         return CouplingKernel(
             F=lambda t: _coupling(self.state(t)) * np.exp(1j * phase(t)),
             delta=lambda t: _detuning(self.state(t)),
-            Gamma_minus=lambda t: _coupling(self.state(t)),
             gamma_rates=lambda t: _berry_rates(self.state(t)),
-            delta_integral=lambda t: phase(t)[()],
             t_max=self.duration,
         )
 

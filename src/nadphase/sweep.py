@@ -32,6 +32,7 @@ FIRST_ITERATION_C2 = 1.0 / 3.0
 BERRY_COMPARISON_C1 = 0.5
 BERRY_COMPARISON_C2 = 1.0
 MAX_POLES = 2**16  # tangent-pole orders a sweep may cross, e_max·s/x_f (README, "Command line")
+MAX_GRID = 2**20  # grid points of a sweep (README, "Command line")
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,8 @@ class SweepConfig:
             raise ValueError(f"theta must be finite, got {self.theta}")
         if not 0 < self.x_f < 1:
             raise ValueError(f"x_f must lie in (0, 1), got {self.x_f}")
-        if self.grid < 2:
-            raise ValueError(f"grid must be >= 2, got {self.grid}")
+        if not 2 <= self.grid <= MAX_GRID:
+            raise ValueError(f"grid must lie in [2, {MAX_GRID}], got {self.grid}")
         if not 0 < self.s < math.inf:
             raise ValueError(f"cycle count s must be finite and positive, got {self.s}")
         if not 0 < self.tol < math.inf:

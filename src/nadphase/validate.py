@@ -263,19 +263,6 @@ def check_reconstruction(tol: float) -> list[dict]:
     return [_check("reconstruction_p_minus", err, 1e-8)]
 
 
-def check_exact_s_code_paths(tol: float) -> list[dict]:
-    """The transition-integral route and the rotating-frame route to S are the
-    same expression; code-path equality at machine precision."""
-    err = 0.0
-    for x in GRID_X:
-        for theta_deg in GRID_THETA_DEG:
-            theta = math.radians(theta_deg)
-            for tau in np.linspace(0.0, 3 * 2 * math.pi / x, 40):
-                err = max(err, abs(engine.closed_form_S(x, theta, tau)
-                                   - rotating.exact_S(x, theta, tau)))
-    return [_check("exact_s_code_paths", err, 1e-15)]
-
-
 def check_nogeo_gap(tol: float) -> list[dict]:
     """Size of the fixed-phase transition-amplitude convention against the
     true transition phase; bounded by twice the transition envelope."""
@@ -325,7 +312,6 @@ ALL_CHECKS = (
     check_sweep_vs_unwrap,
     check_coupling_finite_difference,
     check_reconstruction,
-    check_exact_s_code_paths,
     check_nogeo_gap,
     check_rho_cross_module,
 )

@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +173,12 @@ class TestExitCodes:
                       "/nonexistent-dir/x.json")
         assert res.returncode == 4
 
+    def test_unwritable_output_fails_before_the_numerics(self, tmp_path, capsys):
+        start = time.perf_counter()
+        assert cli.main(["validate", "--out", str(tmp_path / "no-dir" / "x.json")]) == 4
+        assert time.perf_counter() - start <= 0.2
+        assert "I/O error" in capsys.readouterr().err
+
     def test_no_command(self):
         assert run_cli().returncode == 2
 
@@ -182,6 +189,13 @@ class TestExitCodes:
         ("evolve", "--theta-deg", "60", "--x", "0.3", "--tau", "nan"),
         ("evolve", "--theta-deg", "60", "--x", "0.3", "--tau", "-5"),
         ("eigen", "--theta-deg", "60", "--omega", "nan"),
+        ("eigen", "--theta-deg", "60", "--r", "nan"),
+        ("eigen", "--theta-deg", "60", "--r", "-1"),
+        ("eigen", "--theta-deg", "60", "--r", "0"),
+        ("eigen", "--theta-deg", "60", "--phi-deg", "inf"),
+        ("eigen", "--theta-deg", "200"),
+        ("eigen", "--theta-deg", "nan"),
+        ("nmr", "--theta-deg", "60", "--x", "0.3", "--n", "1000000000"),
         ("nmr", "--theta-deg", "60", "--x", "nan"),
         ("nmr", "--theta-deg", "60", "--x", "inf"),
         ("nmr", "--theta-deg", "nan", "--x", "0.3"),
@@ -189,6 +203,7 @@ class TestExitCodes:
         ("phase-sweep", "--theta-deg", "nan", "--xf", "0.3"),
         ("phase-sweep", "--theta-deg", "60", "--xf", "0.3", "--s", "1e300"),
         ("phase-sweep", "--theta-deg", "60", "--xf", "1e-300"),
+        ("phase-sweep", "--theta-deg", "60", "--xf", "0.3", "--grid", "10000000000"),
     ])
     def test_non_finite_or_negative_input(self, tmp_path, args):
         res = run_cli(*args, "--out", str(tmp_path / "o.csv"), timeout=30)
@@ -219,13 +234,11 @@ class TestExitCodes:
 # In-process fuzzing of cli.main: seeded argument vectors, each a valid call
 # of one subcommand with one or two flags dropped or set to a non-finite,
 # negative, huge, tiny or malformed value, a bad path file or a bad config.
-# Integer flags (--n, --grid) stay small: their cost grows with the value by
-# design, so a huge one runs as long as it asks to.
 FUZZ_SEED = 1
 FUZZ_CASES = 60
 CASE_SECONDS = 5.0  # evolve's step budget ends a run in about 1.4 s
 FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "-1e300", "0.3", "2.5", "60", "x"]
-INTS = ["-2", "0", "1", "3", "2.5", "nan"]
+INTS = ["-2", "0", "1", "3", "2.5", "nan", "1000000000", "10000000000"]
 VALID = {
     "eigen": {"--theta-deg": "60", "--phi-deg": "10", "--r": "1", "--omega": "0.4"},
     "evolve": {"--theta-deg": "60", "--x": "0.3", "--tau": "5", "--tol": "1e-10"},
@@ -279,6 +292,10 @@ def _raise_overrun(signum, frame):
     raise _Overrun
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on huge inputs
 def test_fuzzed_arguments_exit_cleanly_and_in_time(tmp_path, capsys):
     files = {"paths": [str(tmp_path / "missing.csv"), str(tmp_path)],
@@ -313,5 +330,8 @@ def test_fuzzed_arguments_exit_cleanly_and_in_time(tmp_path, capsys):
             capsys.readouterr()
             assert code in (0, 2, 3, 4), argv
             assert elapsed <= CASE_SECONDS, (argv, elapsed)
+            if argv[0] == "eigen" and code == 0:  # strict JSON: no NaN or Infinity
+                out = next(a for a in argv if a.startswith("--out=")).split("=", 1)[1]
+                json.loads(Path(out).read_text(), parse_constant=_reject_constant)
     finally:
         signal.signal(signal.SIGALRM, previous)

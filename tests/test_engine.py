@@ -105,9 +105,7 @@ class TestEvolve:
         singular = CouplingKernel(
             F=lambda t: 1.0 / (0.5 - t),
             delta=lambda t: 1.0,
-            Gamma_minus=lambda t: 1.0 / (0.5 - t),
             gamma_rates=lambda t: (0.0, 0.0),
-            delta_integral=lambda t: t,
         )
         with pytest.raises(engine.StepFailureError, match="t ="):
             engine.evolve(singular, 1.0)
@@ -118,7 +116,7 @@ class TestEvolve:
         path = SampledPath(ts, np.full_like(ts, THETA60), 0.3 * ts, np.full_like(ts, 0.5))
         traj = engine.evolve(make_kernel(path), 8.0, tol=1e-10)
         S, _ = traj.amplitudes(8.0)
-        assert abs(S - engine.closed_form_S(0.3, THETA60, 8.0)) <= 1e-6
+        assert abs(S - rotating.exact_S(0.3, THETA60, 8.0)) <= 1e-6
 
 
 class TestAssemble:
@@ -240,20 +238,14 @@ class TestSeries:
 
 
 class TestClosedForms:
-    def test_closed_form_I_reference(self):
-        assert abs(abs(engine.closed_form_I(0.3, THETA60, TAU_REF)) - I_MAG_REF) <= 1e-12
-
-    def test_closed_form_S_reference(self):
-        assert abs(engine.closed_form_S(0.3, THETA60, TAU_REF) - S_REF) <= 1e-12
-
     def test_derivative_relation(self):
-        # S = (dI/dt)/F within finite-difference accuracy
+        # S = (dI/dt)/F within finite-difference accuracy, İ from the engine
         x, theta, t = 0.2, 1.1, 3.0
         kernel = make_kernel(PrecessingPath.dimensionless(x, theta))
-        h = 1e-6
-        dI = (engine.closed_form_I(x, theta, t + h)
-              - engine.closed_form_I(x, theta, t - h)) / (2 * h)
-        assert abs(dI / kernel.F(t) - engine.closed_form_S(x, theta, t)) <= 1e-8
+        traj = engine.evolve(kernel, 4.0)
+        h = 1e-5
+        dI = (traj.amplitudes(t + h)[1] - traj.amplitudes(t - h)[1]) / (2 * h)
+        assert abs(dI / kernel.F(t) - rotating.exact_S(x, theta, t)) <= 1e-8
 
 
 class TestTrajectoryExport:
@@ -430,9 +422,7 @@ class TestStepDoubling:
         nan_after = CouplingKernel(
             F=lambda t: np.where(t < 0.3, 0.1 + 0j, np.nan),
             delta=lambda t: 1.0 + 0 * t,
-            Gamma_minus=lambda t: 0.1 + 0 * t,
             gamma_rates=lambda t: (0 * t, 0 * t),
-            delta_integral=lambda t: t,
         )
         start = time.perf_counter()
         with pytest.raises(engine.StepFailureError, match="not finite at t = ") as info:
@@ -445,9 +435,7 @@ class TestStepDoubling:
         pole = CouplingKernel(
             F=lambda t: 1.0 / (0.5 - t),
             delta=lambda t: 1.0,
-            Gamma_minus=lambda t: 1.0 / (0.5 - t),
             gamma_rates=lambda t: (0.0, 0.0),
-            delta_integral=lambda t: t,
         )
         start = time.perf_counter()
         with pytest.raises(engine.StepFailureError, match=f"{engine.MAX_STEPS} steps") as info:

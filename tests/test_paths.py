@@ -193,16 +193,22 @@ class TestKernel:
         assert abs(adv - 1.7) <= 1e-12
 
     def test_magnitude_identity_sampled(self):
-        kernel = make_kernel(wobble_path())
+        path = wobble_path()
+        kernel = make_kernel(path)
         for t in (0.1, 1.1, 2.3):
-            assert abs(abs(kernel.F(t)) - abs(kernel.Gamma_minus(t))) <= 1e-12
+            assert abs(abs(kernel.F(t)) - abs(coupling_at(path, t).Gamma_minus)) <= 1e-12
 
     def test_delta_integral_consistency(self):
-        kernel = make_kernel(wobble_path())
+        path = wobble_path()
+        kernel = make_kernel(path)
+
+        def phase_factor(u):  # e^{i∫δ} = F/Γ₋
+            return kernel.F(u) / coupling_at(path, u).Gamma_minus
+
         # d/dt of the accumulated phase equals delta
         h = 1e-5
         for t in (0.5, 1.5):
-            deriv = (kernel.delta_integral(t + h) - kernel.delta_integral(t - h)) / (2 * h)
+            deriv = np.angle(phase_factor(t + h) * np.conj(phase_factor(t - h))) / (2 * h)
             assert abs(deriv - kernel.delta(t)) <= 1e-6
 
 
@@ -211,7 +217,7 @@ class TestKernel:
 def test_kernel_members_take_arrays_of_times(path):
     kernel = make_kernel(path)
     ts = np.linspace(0.0, 5.0, 12)
-    for name in ("F", "delta", "Gamma_minus", "gamma_rates", "delta_integral"):
+    for name in ("F", "delta", "gamma_rates"):
         member = getattr(kernel, name)
         values = np.asarray(member(ts))
         pointwise = np.array([member(t) for t in ts]).T
@@ -248,21 +254,20 @@ class TestSampledKernelOracle:
         times = np.random.default_rng(20).uniform(0.0, path.duration, 200)
         for v in times:
             Gamma, delta, (g_plus, g_minus) = reference(v)
-            assert abs(kernel.Gamma_minus(v) - Gamma) <= 1e-13
+            assert abs(abs(kernel.F(v)) - abs(Gamma)) <= 1e-13
             assert abs(kernel.delta(v) - delta) <= 1e-13
             rates = kernel.gamma_rates(v)
             assert abs(rates[0] - g_plus) <= 1e-13 and abs(rates[1] - g_minus) <= 1e-13
-            F_ref = Gamma * np.exp(1j * kernel.delta_integral(v))
-            assert abs(kernel.F(v) - F_ref) <= 1e-13
 
     def test_delta_integral_matches_quadrature(self, setup):
+        # F = Γ₋·e^{i∫δ}, with ∫δ by adaptive quadrature of the composition
         path, kernel, reference, knots = setup
-        assert kernel.delta_integral(0.0) == 0.0
+        assert abs(kernel.F(0.0) - reference(0.0)[0]) <= 1e-13
         for v in np.random.default_rng(21).uniform(0.0, path.duration, 5):
             # δ is smooth between the sample knots, so quad splits there
             exact, _ = quad(lambda w: reference(w)[1], 0.0, v, limit=500,
                             points=knots[(knots > 0) & (knots < v)], epsabs=1e-13, epsrel=1e-13)
-            assert abs(kernel.delta_integral(v) - exact) <= 1e-10
+            assert abs(kernel.F(v) - reference(v)[0] * np.exp(1j * exact)) <= 1e-10
 
     def test_array_state_matches_scalar(self, setup):
         path = setup[0]
@@ -272,8 +277,6 @@ class TestSampledKernelOracle:
             assert [c[i] for c in columns] == list(path.state(v))
         theta, phi = path.angles(times)
         assert np.array_equal(theta, columns[0]) and np.array_equal(phi, columns[1])
-        assert np.array_equal(path.magnitude(times), columns[2])
-        assert np.array_equal(path.rates(times)[1], columns[4])
 
     def test_sliced_propagator_matches_pointwise_product(self, setup):
         path = setup[0]
@@ -281,8 +284,7 @@ class TestSampledKernelOracle:
         eps = t / n
         U = np.eye(2, dtype=complex)
         for k in range(1, n + 1):
-            theta, phi = path.angles(k * eps)
-            R = path.magnitude(k * eps)
+            theta, phi, R, _, _ = path.state(k * eps)
             H = R * np.array([[math.cos(theta), math.sin(theta) * np.exp(-1j * phi)],
                               [math.sin(theta) * np.exp(1j * phi), -math.cos(theta)]])
             U = (np.eye(2) - 1j * eps * H) @ U

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nadphase import engine
 from nadphase.rotating import (
     DegenerateSplittingError,
     exact_S,
@@ -64,17 +63,6 @@ class TestExactS:
 
     def test_reference_value(self):
         assert abs(exact_S(0.3, THETA60, TAU_REF) - S_REF) <= 1e-14
-
-    def test_code_path_equality_with_transition_route(self):
-        # the rotating-frame trig sums and the transition-integral route are
-        # the same expression; equality at machine precision
-        err = 0.0
-        for x in (0.05, 0.2, 0.5):
-            for theta in (0.5, THETA60, 2.1):
-                for tau in np.linspace(0.0, 40.0, 31):
-                    err = max(err, abs(exact_S(x, theta, tau)
-                                       - engine.closed_form_S(x, theta, tau)))
-        assert err <= 1e-15
 
     @given(x=st.floats(0.0, 0.95), theta=st.floats(0.01, math.pi - 0.01),
            tau=st.floats(0.0, 50.0))
