@@ -14,16 +14,18 @@ def format_value(v) -> str:
     return f"{float(v):.12g}"
 
 
+def _lines(header, rows):
+    yield ",".join(header) + "\n"
+    yield from (",".join(map(format_value, row)) + "\n" for row in rows)
+
+
 def csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join(_lines(header, rows))
 
 
 def write_csv(file, header, rows) -> None:
     with open(file, "w", newline="") as fh:
-        fh.write(csv_text(header, rows))
+        fh.writelines(_lines(header, rows))
 
 
 def json_text(obj) -> str:

@@ -7,9 +7,10 @@ The pair (S, I) obeys the regular first-order system
 which conserves |S|² + |I|² exactly. S(t) = A(t)e^{iρ(t)} multiplies the
 adiabatic persistence amplitude, so ρ carries every non-adiabatic correction
 to the geometric phase and A the reduced persistence magnitude; I(t) sets the
-transition amplitude. The generator [[0, F], [−F*, 0]] is traceless and
-anti-Hermitian, so a fourth-order Magnus step is a closed-form SU(2) element;
-γ±(t) and the action integrals ∫₀ᵗ E± dτ are Gauss sums on the same nodes.
+transition amplitude. In a frame turning at a fixed rate w, (J, K) = (I e^{−iwt/2},
+S e^{iwt/2}) has the traceless anti-Hermitian generator [[−iw/2, G], [−G*, iw/2]],
+G = F·e^{−iwt}, so a fourth-order Magnus step is a closed-form SU(2) element, exact
+where G is constant; γ±(t) and ∫₀ᵗ E± dτ are Gauss sums on the same nodes.
 
 Two independent low-level oracles live here as well: a time-sliced propagator
 product built from first-order slices 1 − iεH(t_k) (converging at rate 1/n),
@@ -55,23 +56,29 @@ class AmplitudeResult:
 
 
 def _phase_rates(kernel: CouplingKernel, nodes) -> np.ndarray:
-    """(γ̇₋, γ̇₊, −E₊, E₊) at ``nodes`` on a first axis of 4, E₊ = (δ + γ̇₊ − γ̇₋)/2."""
-    g_plus, g_minus = kernel.gamma_rates(nodes)
-    E_plus = 0.5 * (kernel.delta(nodes) + g_plus - g_minus)
-    return np.stack(np.broadcast_arrays(g_minus, g_plus, -E_plus, E_plus, nodes)[:4])
+    """(γ̇₋, γ̇₊, −E₊, E₊, δ) at ``nodes`` on a first axis of 5, E₊ = (δ + γ̇₊ − γ̇₋)/2."""
+    (g_plus, g_minus), delta = kernel.gamma_rates(nodes), kernel.delta(nodes)
+    E_plus = 0.5 * (delta + g_plus - g_minus)
+    return np.stack(np.broadcast_arrays(g_minus, g_plus, -E_plus, E_plus, delta, nodes)[:5])
 
 
-def _magnus_steps(F, h):
-    """Fourth-order Magnus steps exp Ω = cos r + (sin r / r)·Ω from F at the
-    Gauss nodes, Ω = [[iα, β], [−β*, −iα]] with β = h(F₁ + F₂)/2, α =
-    (√3/6)h²·Im(F₁F₂*), r = |(α, β)|, as SU(2) elements [[1 + da, b], [−b*,
-    1 + da*]]. da = −2 sin²(r/2) is kept apart from the 1, since cos r rounded
-    near 1 errs alike on equal steps, and their products would add it up."""
-    beta = 0.5 * h * (F[..., 0] + F[..., 1])
-    alpha = math.sqrt(3) / 6 * h**2 * (F[..., 0] * np.conj(F[..., 1])).imag
+def _magnus_steps(F, h, w):
+    """Fourth-order Magnus steps from F at the Gauss nodes, taken in the frame and
+    returned in the lab frame, as SU(2) elements [[1 + da, b], [−b*, 1 + da*]], with
+    their turns r. In the frame a step is exp Ω = cos r + (sin r / r)·Ω, Ω = [[iα, β],
+    [−β*, −iα]], α = −wh/2 + (√3/6)h²·Im(G₁G₂*), β = h(G₁ + G₂)/2 + i(√3/12)wh²(G₂ −
+    G₁), r = |(α, β)|. Back in the lab frame 1 + da takes a factor 1 + p = e^{iwh/2}
+    and β one of e^{iwm}, m the step's midpoint: so G₁,₂e^{iwm} = F₁,₂e^{±iwh√3/6}
+    stand for G₁,₂, leaving α and r as they are. Deviations from 1 are kept apart from
+    the 1: rounding near 1 errs alike on equal steps, and their products add it up."""
+    q, c = np.exp(1j * math.sqrt(3) / 6 * w * h), math.sqrt(3) / 12 * h**2
+    G1, G2 = F[..., 0] * q, F[..., 1] * np.conj(q)
+    beta = 0.5 * h * (G1 + G2) + 1j * c * w * (G2 - G1)
+    alpha = -0.5 * w * h + 2 * c * (G1 * np.conj(G2)).imag
     r = np.hypot(alpha, np.abs(beta))
-    sinc = np.sinc(r / np.pi)
-    return -2 * np.sin(0.5 * r) ** 2 + 1j * alpha * sinc, beta * sinc
+    sinc, p = np.sinc(r / np.pi), -2 * np.sin(0.25 * w * h) ** 2 + 1j * np.sin(0.5 * w * h)
+    da = -2 * np.sin(0.5 * r) ** 2 + 1j * alpha * sinc
+    return da + p + da * p, beta * sinc, r
 
 
 def _product(u, v):
@@ -101,7 +108,7 @@ class Trajectory:
 
     def __init__(self, kernel, ts, psi, rates, tol: float, stats: dict):
         self._kernel, self.ts, self._psi, self.tol, self.stats = kernel, ts, psi, tol, stats
-        increments = 0.5 * np.diff(ts[:2]) * rates.sum(axis=-1)  # the step; none on one node
+        increments = 0.5 * np.diff(ts[:2]) * rates[:4].sum(axis=-1)  # the step; none on one node
         self._phases = np.concatenate([np.zeros((4, 1)), np.cumsum(increments, axis=1)], axis=1)
         self._rho_nodes = np.unwrap(np.angle(psi[0]))
 
@@ -113,14 +120,15 @@ class Trajectory:
     def amplitudes(self, t):
         """(S, I) sampled at scalar or array times."""
         k, h, nodes = self._from_node(t)
-        da, b = _magnus_steps(np.broadcast_to(self._kernel.F(nodes), nodes.shape), h)
+        F = np.broadcast_to(self._kernel.F(nodes), nodes.shape)
+        da, b, _ = _magnus_steps(F, h, self.stats["w"])
         S, I = self._psi[:, k]
         return (S + (np.conj(da) * S - np.conj(b) * I))[()], (I + (da * I + b * S))[()]
 
     def phases(self, t):
         """(γ₋, γ₊, ∫E₋, ∫E₊) sampled at scalar or array times."""
         k, h, nodes = self._from_node(t)
-        rates = _phase_rates(self._kernel, nodes).sum(axis=-1)
+        rates = _phase_rates(self._kernel, nodes)[:4].sum(axis=-1)
         return tuple((self._phases[:, k] + 0.5 * h * rates)[()])
 
     def rho(self, t):
@@ -141,12 +149,13 @@ def _defect(S, I):
 
 
 def evolve(kernel: CouplingKernel, t_end: float, tol: float = 1e-10) -> Trajectory:
-    """Integrate the coupled (I, S) system on [0, t_end] in n uniform Magnus
-    steps, n doubling from 256 until the error estimate of the 2n-step solution
-    ψ = (S, I), max|ψ₂ₙ − ψₙ|/15 over common nodes, is at most ``tol``. Raises
-    StepFailureError, naming a time, on a kernel value that is not finite or
-    when MAX_STEPS steps do not reach ``tol``; each kernel member is sampled
-    at every level's Gauss nodes. t_end = 0 gives the one node t = 0."""
+    """Integrate the coupled (I, S) system on [0, t_end] in n uniform Magnus steps in
+    the frame turning at w, the mean δ over the first level's Gauss nodes. n doubles
+    from 256 until the error estimate of the 2n-step solution ψ, max|ψ₂ₙ − ψₙ|/15 over
+    common nodes, is at most ``tol`` and no step turns by more than π/2, which keeps
+    ρ unwrapped over the nodes continuous. Raises StepFailureError, naming a time, on
+    a kernel value that is not finite or when MAX_STEPS steps do not get there; each
+    kernel member is sampled at every level's Gauss nodes. t_end = 0 gives one node."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not 0 <= t_end < math.inf:
@@ -156,7 +165,8 @@ def evolve(kernel: CouplingKernel, t_end: float, tol: float = 1e-10) -> Trajecto
     if t_end == 0:  # one node, S = 1 and I = 0, with nothing to step
         stats = dict.fromkeys(["steps", "doublings", "kernel_calls", "kernel_points"], 0)
         return Trajectory(kernel, np.zeros(1), np.eye(2, 1, dtype=complex), np.zeros((4, 0, 2)),
-                          tol, stats | {"error_estimate": 0.0, "unitarity_defect_max": 0.0})
+                          tol, stats | dict.fromkeys(["error_estimate", "unitarity_defect_max",
+                                                      "w", "max_step_turn"], 0.0))
     n, coarse = _FIRST_STEPS, None
     while True:
         ts = np.linspace(0.0, t_end, n + 1)
@@ -166,22 +176,25 @@ def evolve(kernel: CouplingKernel, t_end: float, tol: float = 1e-10) -> Trajecto
         bad = ~(np.isfinite(F) & np.all(np.isfinite(rates), axis=0))
         if np.any(bad):
             raise StepFailureError(f"kernel value not finite at t = {nodes.flat[np.argmax(bad)]}")
-        da, b = _prefix_products(np.stack(_magnus_steps(F, t_end / n)))
+        w = float(np.mean(rates[4])) if coarse is None else w  # fixed for the run
+        da, b, r = _magnus_steps(F, t_end / n, w)
+        da, b = _prefix_products(np.stack([da, b]))
         psi = np.column_stack([[1.0, 0.0], np.stack([1.0 + np.conj(da), b])])
         if coarse is not None:
             gap = psi[:, ::2] - coarse
             estimate = float(np.max(np.linalg.norm(gap, axis=0))) / 15
-            if estimate <= tol:
+            if estimate <= tol and np.max(r) <= math.pi / 2:
                 break
             if 2 * n > MAX_STEPS:  # local estimate: the gap's growth over each coarse step
                 worst = np.argmax(np.linalg.norm(np.diff(gap, axis=1), axis=0))
-                raise StepFailureError(f"error estimate {estimate:.3g} > tol at {n} steps, "
-                                       f"worst in the step from t = {ts[2 * worst]}")
+                raise StepFailureError(f"estimate {estimate:.3g} > tol or step turn {np.max(r):.3g}"
+                                       f" > pi/2 at {n} steps, worst from t = {ts[2 * worst]}")
         n, coarse = 2 * n, psi
     doublings = int(math.log2(n // _FIRST_STEPS))
     stats = {"steps": n, "doublings": doublings, "kernel_calls": 3 * (doublings + 1),
              "kernel_points": 4 * n - 2 * _FIRST_STEPS, "error_estimate": estimate,
-             "unitarity_defect_max": float(np.max(_defect(*psi)))}
+             "unitarity_defect_max": float(np.max(_defect(*psi))), "w": w,
+             "max_step_turn": float(np.max(r))}
     return Trajectory(kernel, ts, psi, rates, tol, stats)
 
 

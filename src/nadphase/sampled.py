@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
@@ -88,12 +89,12 @@ class SampledPath:
 def load_path_csv(file) -> SampledPath:
     """Read a sampled path from CSV with header ``t,theta,phi,R`` (radians)."""
     with open(file, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t", "theta", "phi", "R"]:
-            raise ValueError(f"expected header 't,theta,phi,R', got {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        raise ValueError("path file contains no samples")
-    data = np.array(rows)
-    return SampledPath(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
+        header = next(csv.reader(fh), None)
+    if header is None or [h.strip() for h in header] != ["t", "theta", "phi", "R"]:
+        raise ValueError(f"expected header 't,theta,phi,R', got {header}")
+    with warnings.catch_warnings():  # a file without rows warns, and is refused below
+        warnings.simplefilter("ignore")
+        data = np.loadtxt(file, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    if data.shape[0] == 0 or data.shape[1] != 4:
+        raise ValueError(f"expected rows of 4 samples, got an array of shape {data.shape}")
+    return SampledPath(*data.T)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import signal
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nadphase import cli
+from nadphase import cli, rotating
 
 
 def run_cli(*args, cwd=None, timeout=None):
@@ -60,6 +61,17 @@ class TestEvolveCommand:
         assert res.returncode == 0, res.stderr
         assert out.read_text().splitlines()[1:] == ["0,1,0,0,0,0,1,0"]
 
+    def test_long_precession_runs(self, tmp_path):
+        # the steps follow a precession exactly, so 4,000 time units take 2,048
+        # steps (the quarter-turn rule), where lab-frame steps ran out of budget
+        out = tmp_path / "t.csv"
+        assert cli.main(["evolve", "--theta-deg", "60", "--x", "0.3", "--tau", "4000",
+                         "--out", str(out)]) == 0
+        _, data = read_csv(out)
+        assert len(data) == 2049 and data[-1, 0] == 4000
+        exact = rotating.exact_S(0.3, math.radians(60), data[:, 0])
+        assert np.max(np.abs(data[:, 1] + 1j * data[:, 2] - exact)) <= 1e-8
+
     def test_tau_beyond_path_duration_rejected(self, tmp_path):
         path_file = tmp_path / "path.csv"
         ts = np.linspace(0.0, 1.0, 11)
@@ -68,6 +80,16 @@ class TestEvolveCommand:
         res = run_cli("evolve", "--path-file", str(path_file), "--tau", "5",
                       "--out", str(tmp_path / "t.csv"))
         assert res.returncode == 2
+
+
+def test_written_csv_is_the_csv_text(tmp_path):
+    # write_csv streams its rows; the file holds the bytes csv_text builds whole
+    from nadphase import _fmt, nmr
+    table = nmr.magnetization_table(0.3, math.radians(60.0), 7)
+    _fmt.write_csv(tmp_path / "m.csv", nmr.MAGNETIZATION_HEADER, table)
+    text = _fmt.csv_text(nmr.MAGNETIZATION_HEADER, table)
+    assert (tmp_path / "m.csv").read_bytes() == text.encode()
+    assert text.count("\n") == 8 and not text.endswith("\n\n")
 
 
 class TestPhaseSweepCommand:
@@ -263,6 +285,20 @@ PATH_FILES = {
     "overshoot": [f"{i},{th},{0.3 * i},0.5" for i, th in enumerate([1, 1, 1, 3.14, 3.14, 1, 1, 1])],
     "huge_t": [f"{i}e300,1.2,{i},0.5" for i in range(6)],
 }
+MALFORMED = sorted(set(PATH_FILES) - {"good", "overshoot"})  # overshoot fails in the numerics
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on huge_t
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_path_file_is_a_configuration_error(tmp_path, capsys, name):
+    rows = PATH_FILES[name]
+    path = tmp_path / "path.csv"
+    path.write_text("" if rows is None else "\n".join(["t,theta,phi,R"] + rows) + "\n")
+    assert cli.main(["evolve", f"--path-file={path}", "--tau=2",
+                     f"--out={tmp_path / 'out.csv'}"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 CONFIGS = {"not_json": "{", "a_list": "[1, 2]", "unknown_field": '{"bogus": 1}',
            "wrong_type": '{"grid": "many", "x": [1]}', "nmr": '{"command": "nmr", "n": 2}'}
 

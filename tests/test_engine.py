@@ -274,16 +274,43 @@ def precessing_run(x, theta_deg, cycles, tol=1e-10):
                                        t_end, tol)
 
 
-def fixed_step_S(kernel, t_end, n):
-    """S at the nodes of exactly n Magnus steps, as evolve takes them."""
+def fixed_step(kernel, t_end, n, w):
+    """(S, I) at the nodes after t = 0 of exactly n Magnus steps in the frame
+    turning at w, as evolve takes them."""
     ts = np.linspace(0.0, t_end, n + 1)
-    steps = engine._magnus_steps(kernel.F(gauss_nodes(ts[:-1], t_end / n)), t_end / n)
-    da, _ = engine._prefix_products(np.stack(steps))
-    return ts[1:], 1.0 + np.conj(da)
+    nodes = gauss_nodes(ts[:-1], t_end / n)
+    da, b, _ = engine._magnus_steps(kernel.F(nodes), t_end / n, w)
+    da, b = engine._prefix_products(np.stack([da, b]))
+    return ts[1:], 1.0 + np.conj(da), b
+
+
+def varying_path(duration, samples, theta_amp, theta_freq, phi_rate, phi_amp, R_amp, R_freq,
+                 t0=0.0):
+    """A sampled path on which θ, φ and R all vary."""
+    u = np.linspace(0.0, duration, samples)
+    return SampledPath(u + t0, 1.5 + theta_amp * np.sin(theta_freq * u),
+                       phi_rate * u + phi_amp * np.cos(1.3 * u), 0.5 + R_amp * np.sin(R_freq * u))
+
+
+def dop853_amplitudes(kernel, t_end, ts):
+    """(S, I) at ts from scipy's DOP853 on the lab-frame system, tolerances 1e-13."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        F = complex(kernel.F(t))
+        I, S = y[0] + 1j * y[1], y[2] + 1j * y[3]
+        return [(F * S).real, (F * S).imag, (-np.conj(F) * I).real, (-np.conj(F) * I).imag]
+
+    ref = solve_ivp(rhs, (0.0, t_end), [0.0, 0.0, 1.0, 0.0], method="DOP853",
+                    rtol=1e-13, atol=1e-13, t_eval=ts)
+    return ref.y[2] + 1j * ref.y[3], ref.y[0] + 1j * ref.y[1]
 
 
 drives = dict(x=st.floats(0.02, 0.9), theta_deg=st.floats(5.0, 175.0),
               cycles=st.integers(1, 5))
+path_shapes = dict(theta_amp=st.floats(0.05, 0.5), theta_freq=st.floats(0.1, 3.0),
+                   phi_rate=st.floats(-2.0, 2.0), phi_amp=st.floats(0.05, 1.0),
+                   R_amp=st.floats(0.05, 0.3), R_freq=st.floats(0.1, 3.0))
 
 
 class TestMagnusProperties:
@@ -303,20 +330,45 @@ class TestMagnusProperties:
         assert np.max(np.abs(S - rotating.exact_S(x, theta, ts))) <= 1e-8
 
     @settings(max_examples=20, deadline=None)
-    @given(**drives)
-    def test_fourth_order_convergence(self, x, theta_deg, cycles):
-        # max error over the nodes for n, 2n and 4n steps, n well inside the
-        # asymptotic range and the error well above rounding
-        theta = math.radians(theta_deg)
-        t_end = cycles * 2 * math.pi / x
-        kernel = make_kernel(PrecessingPath.dimensionless(x, theta))
-        n = 4 * 2 ** math.ceil(math.log2(t_end))
+    @given(duration=st.floats(0.5, 6.0), **path_shapes)
+    def test_fourth_order_convergence(self, duration, **shape):
+        # max error over the nodes for n, 2n and 4n steps against lab-frame
+        # steps (w = 0) at 64n, n well inside the asymptotic range and the error
+        # well above rounding. The samples lie eight to the finest step: on steps
+        # shorter than the sample spacing the spline's knots leave order 3.
+        n = 4 * 2 ** max(0, math.ceil(math.log2(duration)))
+        kernel = make_kernel(varying_path(duration, 32 * n + 1, **shape))
+        w = engine.evolve(kernel, duration).stats["w"]
+        _, S_ref, _ = fixed_step(kernel, duration, 64 * n, 0.0)
         errs = []
         for m in (n, 2 * n, 4 * n):
-            ts, S = fixed_step_S(kernel, t_end, m)
-            errs.append(np.max(np.abs(S - rotating.exact_S(x, theta, ts))))
+            _, S, _ = fixed_step(kernel, duration, m, w)
+            errs.append(np.max(np.abs(S - S_ref[64 * n // m - 1::64 * n // m])))
         assert 12 <= errs[0] / errs[1] <= 20
         assert 12 <= errs[1] / errs[2] <= 20
+
+    @settings(max_examples=20, deadline=None)
+    @given(**drives)
+    def test_a_precession_takes_the_first_comparison(self, x, theta_deg, cycles):
+        # the frame generator is constant, so 256 and 512 exact steps agree
+        theta, t_end, traj = precessing_run(x, theta_deg, cycles)
+        assert traj.stats["steps"] == 512
+        assert traj.stats["w"] == pytest.approx(1 - x * math.cos(theta), abs=1e-14)
+
+    @settings(max_examples=30, deadline=None)
+    @given(x=st.floats(0.02, 0.95), theta_deg=st.floats(5.0, 175.0), tau=st.floats(1.0, 2e4))
+    def test_rho_matches_the_closed_form_at_every_node(self, x, theta_deg, tau):
+        theta = math.radians(theta_deg)
+        kernel = make_kernel(PrecessingPath.dimensionless(x, theta))
+        traj = engine.evolve(kernel, tau)
+        exact = [rotating.exact_rho(x, theta, t) for t in traj.ts]
+        assert np.max(np.abs(engine.trajectory_table(traj)[:, 5] - exact)) <= 1e-8
+        # no kept step turns by more than a quarter turn, and stats says so
+        h = traj.ts[1]
+        nodes = gauss_nodes(traj.ts[:-1], h)
+        _, _, r = engine._magnus_steps(kernel.F(nodes), h, traj.stats["w"])
+        assert np.max(r) <= math.pi / 2
+        assert traj.stats["max_step_turn"] == pytest.approx(np.max(r), rel=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(**drives)
@@ -354,16 +406,9 @@ class TestInvariants:
                                    rtol=0, atol=1e-8)
 
     @settings(max_examples=25, deadline=None)
-    @given(t0=st.floats(0.0, 10.0), duration=st.floats(0.5, 6.0),
-           theta_amp=st.floats(0.05, 0.5), theta_freq=st.floats(0.1, 3.0),
-           phi_rate=st.floats(-2.0, 2.0), phi_amp=st.floats(0.05, 1.0),
-           R_amp=st.floats(0.05, 0.3), R_freq=st.floats(0.1, 3.0))
-    def test_rho_vanishes_at_the_start_of_a_sampled_path(
-            self, t0, duration, theta_amp, theta_freq, phi_rate, phi_amp, R_amp, R_freq):
-        u = np.linspace(0.0, duration, 61)
-        path = SampledPath(u + t0, 1.5 + theta_amp * np.sin(theta_freq * u),
-                           phi_rate * u + phi_amp * np.cos(1.3 * u),
-                           0.5 + R_amp * np.sin(R_freq * u))
+    @given(t0=st.floats(0.0, 10.0), duration=st.floats(0.5, 6.0), **path_shapes)
+    def test_rho_vanishes_at_the_start_of_a_sampled_path(self, t0, duration, **shape):
+        path = varying_path(duration, 61, **shape, t0=t0)
         traj = engine.evolve(make_kernel(path), path.duration)
         assert traj.rho(0.0) == 0.0
         assert engine.trajectory_table(traj)[0, 5] == 0.0
@@ -382,38 +427,38 @@ class TestStepDoubling:
                                                  for k in range(stats["doublings"] + 1))
         assert 0 < stats["error_estimate"] <= traj.tol
         assert stats["unitarity_defect_max"] <= 1e-12
+        assert stats["w"] == pytest.approx(1 - 0.3 * math.cos(THETA60), abs=1e-14)
+        assert 0 < stats["max_step_turn"] <= math.pi / 2
 
     def test_unitarity_defect_does_not_grow_with_the_step_count(self):
         # cos r rounded near 1 errs alike on equal steps; summed over 65,536
         # steps that error would reach about 5e-12
-        _, _, traj = precessing_run(0.02, 90.0, 5)
-        assert traj.stats["steps"] >= 2**15
-        assert traj.stats["unitarity_defect_max"] <= 1e-14
+        theta, t_end, traj = precessing_run(0.02, 90.0, 5)
+        kernel = make_kernel(PrecessingPath.dimensionless(0.02, theta))
+        _, S, I = fixed_step(kernel, t_end, 2**16, traj.stats["w"])
+        assert np.max(engine._defect(S, I)) <= 1e-14
 
     def test_estimate_bounds_the_error(self):
-        theta, t_end, traj = precessing_run(0.1, 60.0, 3)
-        err = np.max(np.abs(traj.amplitudes(traj.ts)[0] - rotating.exact_S(0.1, theta, traj.ts)))
-        assert err <= 2 * traj.stats["error_estimate"]
+        # a fast path, so that 512 steps leave an error far above the reference's
+        u = np.linspace(0.0, 6.0, 121)
+        path = SampledPath(u, 1.2 + 0.6 * np.sin(2.5 * u), 1.5 * u + 0.5 * np.cos(2.0 * u),
+                           3.0 + 0.3 * np.sin(1.5 * u))
+        kernel = make_kernel(path)
+        traj = engine.evolve(kernel, path.duration, tol=1e-7)
+        S_ref, _ = dop853_amplitudes(kernel, path.duration, traj.ts)
+        assert traj.stats["error_estimate"] >= 1e-9
+        assert np.max(np.abs(traj.amplitudes(traj.ts)[0] - S_ref)) <= 2 * traj.stats["error_estimate"]
 
     def test_sampled_path_matches_an_independent_integrator(self):
-        from scipy.integrate import solve_ivp
-
         u = np.linspace(0.0, 6.0, 121)
         path = SampledPath(u, 1.2 + 0.3 * np.sin(0.9 * u), 0.4 * u + 0.2 * np.cos(1.3 * u),
                            0.5 + 0.1 * np.sin(0.5 * u))
         kernel = make_kernel(path)
         traj = engine.evolve(kernel, path.duration)
-
-        def rhs(t, y):
-            F = complex(kernel.F(t))
-            I, S = y[0] + 1j * y[1], y[2] + 1j * y[3]
-            return [(F * S).real, (F * S).imag, (-np.conj(F) * I).real, (-np.conj(F) * I).imag]
-
-        ref = solve_ivp(rhs, (0.0, path.duration), [0.0, 0.0, 1.0, 0.0], method="DOP853",
-                        rtol=1e-13, atol=1e-13, t_eval=traj.ts)
+        S_ref, I_ref = dop853_amplitudes(kernel, path.duration, traj.ts)
         S, I = traj.amplitudes(traj.ts)
-        assert np.max(np.abs(S - (ref.y[2] + 1j * ref.y[3]))) <= 1e-8
-        assert np.max(np.abs(I - (ref.y[0] + 1j * ref.y[1]))) <= 1e-8
+        assert np.max(np.abs(S - S_ref)) <= 1e-8
+        assert np.max(np.abs(I - I_ref)) <= 1e-8
         g_minus, g_plus, _, _ = traj.phases(path.duration)
         assert abs(g_minus - berry_phase(path, -1, path.duration)) <= 1e-9
         assert abs(g_plus - berry_phase(path, +1, path.duration)) <= 1e-9
