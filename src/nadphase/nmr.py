@@ -1,44 +1,33 @@
 """Transverse-magnetization observable for the precessing-field experiment.
 
 A spin initially along the lab x axis, (|E₊(0)⟩ + |E₋(0)⟩)/√2, is evolved for
-an integer number n of precession cycles (t = 2πn/ω, where the instantaneous
-eigenbasis is cyclic). The transverse magnetization in units of γħ/2 is
+n whole precession cycles, τ = 2πn/x, after which the eigenbasis is back where
+it started and the lab-frame rotation is (−1)ⁿ. The transverse magnetization
+M⊥ = (P₋ + T₊)(P₊* + T₋*) then reduces exactly, with z = e^{idτ/2}S =
+cos(eτ/2) + i·g·sin(eτ/2), to
 
-    M⊥ = (P₋ + T₊)(P₊* + T₋*)
+    M⊥ = z² + (1 − g²)·sin²(eτ/2) = A²e^{i(dτ + 2ρ)} + Ĉ²,
 
-whose dominant term A²e^{i(δt + 2ρ)} carries the dynamical, geometric, and
-non-adiabatic phase contributions in its argument. Everything is
-dimensionless with 2R = 1 (so x = ω, τ = t) and the gyromagnetic prefactor is
-kept symbolic: all outputs are in units of γħ/2.
+whose dominant term carries the dynamical, geometric and non-adiabatic
+phases in its argument; Ĉ² = |T₋|² is the transition probability. Everything
+is dimensionless with 2R = 1 (x = ω, τ = t); outputs are in units of γħ/2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .paths import instantaneous_eigensystem
 from .rotating import exact_S, exact_rho, propagate_exact, solve_rotating_frame
 
-MAX_CYCLES = 2**16  # rows of a magnetization table, about 50 µs each (README, "Command line")
+MAX_CYCLES = 2**16  # rows of a magnetization table (README, "Command line")
 
 
-@dataclass(frozen=True)
-class MagnetizationPoint:
-    """Magnetization observable after n full cycles (units of γħ/2)."""
-
-    n: int
-    t: float
-    M_perp: complex
-    M_x: float
-    arg_exact: float
-    arg_approx: float
-
-
-def _cycle_tau(x: float, n: int) -> float:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+def _cycle_tau(x: float, n):
+    n = np.asarray(n)
+    if n.dtype.kind not in "iu" or np.any(n < 1):
         raise ValueError(f"cycle count n must be a positive integer, got {n}")
     if not 0 < x < math.inf:
         raise ValueError(f"x must be finite and positive for a cycle time, got {x}")
@@ -85,11 +74,7 @@ def exact_amplitudes(x: float, theta: float, t: float):
     return complex(P_minus), complex(P_plus), complex(T_minus), complex(T_plus)
 
 
-def _arg_exact(x: float, theta: float, tau: float) -> float:
-    return float(solve_rotating_frame(x, theta).d * tau + 2 * exact_rho(x, theta, tau))
-
-
-def _arg_approx(x: float, theta: float, n: int) -> float:
+def _arg_approx(x: float, theta: float, n):
     # cosine argument 2πn(1/x − cosθ + x sin²θ(1/2 + (2/3)x cosθ)); the
     # first two terms are the dynamical and geometric contributions
     cos_t = math.cos(theta)
@@ -97,38 +82,22 @@ def _arg_approx(x: float, theta: float, n: int) -> float:
     return 2 * math.pi * n * (1 / x - cos_t + x * s2 * (0.5 + (2.0 / 3.0) * x * cos_t))
 
 
-def transverse_magnetization_exact(x: float, theta: float, n: int) -> MagnetizationPoint:
-    """M⊥ after n cycles from the exact amplitudes (units of γħ/2)."""
+def magnetization(x: float, theta: float, n):
+    """(M⊥, arg_exact, arg_approx, A²) after n whole cycles, n an int or an
+    integer array: M⊥ in closed form (module docstring), arg_exact = dτ + 2ρ
+    the argument of its dominant term, and arg_approx the weak-drive argument,
+    whose magnetization is A²·cos(arg_approx). Rejects x = 0: the dynamical
+    term 2πn/x diverges at fixed cycle count."""
     tau = _cycle_tau(x, n)
-    P_minus, P_plus, T_minus, T_plus = exact_amplitudes(x, theta, tau)
-    M_perp = (P_minus + T_plus) * np.conj(P_plus + T_minus)
-    return MagnetizationPoint(
-        n=int(n),
-        t=tau,
-        M_perp=complex(M_perp),
-        M_x=float(M_perp.real),
-        arg_exact=_arg_exact(x, theta, tau),
-        arg_approx=_arg_approx(x, theta, n),
-    )
-
-
-def magnetization_approx(x: float, theta: float, n: int) -> MagnetizationPoint:
-    """Weak-non-adiabaticity magnetization M_x = A²·cos(arg_approx) (γħ/2 units).
-
-    Rejects x = 0: the dynamical term 2πn/x in the cosine argument diverges at
-    fixed cycle count. The A² prefactor uses the exact persistence magnitude.
-    """
-    tau = _cycle_tau(x, n)
-    arg = _arg_approx(x, theta, n)
-    A2 = abs(exact_S(x, theta, tau)) ** 2
-    return MagnetizationPoint(
-        n=int(n),
-        t=tau,
-        M_perp=complex(A2 * np.exp(1j * arg)),
-        M_x=float(A2 * math.cos(arg)),
-        arg_exact=_arg_exact(x, theta, tau),
-        arg_approx=arg,
-    )
+    sol = solve_rotating_frame(x, theta)
+    half = sol.e * tau / 2
+    cos_h, sin_h = np.cos(half), np.sin(half)
+    im_z = sol.g * sin_h
+    # z² + Ĉ² in real products: numpy fuses a complex array product and
+    # squares a scalar with pow, and a table row must round as one cycle does
+    M_perp = cos_h * cos_h - im_z * im_z + (1 - sol.g**2) * sin_h * sin_h + 1j * (2 * cos_h * im_z)
+    A = np.abs(exact_S(x, theta, tau))
+    return M_perp, sol.d * tau + 2 * exact_rho(x, theta, tau), _arg_approx(x, theta, n), A * A
 
 
 def direct_expectation(x: float, theta: float, n: int) -> complex:
@@ -151,14 +120,11 @@ MAGNETIZATION_HEADER = ["n", "x", "theta_deg", "Mx_exact", "Mx_approx",
 
 def magnetization_table(x: float, theta: float, n_max: int) -> np.ndarray:
     """Rows for cycles 1..n_max (columns per MAGNETIZATION_HEADER), with
-    Mx_approx = A²·cos(arg_approx) as in magnetization_approx."""
+    Mx_exact = Re M⊥ and Mx_approx = A²·cos(arg_approx)."""
     _cycle_tau(x, n_max)  # rejects x and n_max before any numerics
     if n_max > MAX_CYCLES:
         raise ValueError(f"cycle count n = {n_max} is over {MAX_CYCLES}")
-    rows = []
-    for n in range(1, n_max + 1):
-        exact = transverse_magnetization_exact(x, theta, n)
-        A2 = abs(exact_S(x, theta, exact.t)) ** 2
-        rows.append([n, x, math.degrees(theta), exact.M_x, A2 * math.cos(exact.arg_approx),
-                     exact.arg_exact, exact.arg_approx, A2])
-    return np.array(rows)
+    n = np.arange(1, n_max + 1)
+    M_perp, arg_exact, arg_approx, A2 = magnetization(x, theta, n)
+    return np.column_stack(np.broadcast_arrays(
+        n, x, math.degrees(theta), M_perp.real, A2 * np.cos(arg_approx), arg_exact, arg_approx, A2))

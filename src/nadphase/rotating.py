@@ -114,8 +114,8 @@ def phase_branch(u, g):
     return np.arctan2(g * np.sin(v), np.cos(v)) + np.sign(g) * m * np.pi
 
 
-def exact_rho(x: float, theta: float, tau: float) -> float:
-    """Continuous phase of S(τ) from ρ(0) = 0: S = e^{−idτ/2}(cos(eτ/2) +
-    i·g·sin(eτ/2)), so ρ = −dτ/2 + phase_branch(eτ/2, g)."""
+def exact_rho(x: float, theta: float, tau):
+    """Continuous phase of S(τ) from ρ(0) = 0, τ a float or an array:
+    S = e^{−idτ/2}(cos(eτ/2) + i·g·sin(eτ/2)), so ρ = −dτ/2 + phase_branch(eτ/2, g)."""
     sol = solve_rotating_frame(x, theta)
-    return float(-sol.d * tau / 2 + phase_branch(sol.e * tau / 2, sol.g))
+    return -sol.d * tau / 2 + phase_branch(sol.e * tau / 2, sol.g)

@@ -4,8 +4,8 @@ Every numerical path in the package is checked against an independent route:
 the adaptive engine against the rotating-frame closed form, the frequency
 sweep against the branch-tracked arctangent, the sliced-propagator product
 and the truncated transition series against the engine, analytic couplings
-against finite differences, and the magnetization assembly against a direct
-expectation value. The result is a machine-readable report
+against finite differences, and the closed-form magnetization against the
+expectation value in the propagated state. The result is a machine-readable report
 
     {"checks": [{"name", "max_error", "tolerance", "pass"}, ...], "pass": bool}
 
@@ -174,7 +174,7 @@ def check_adiabatic_limit(tol: float) -> list[dict]:
 
 
 def check_nmr(tol: float) -> list[dict]:
-    """Magnetization assembly vs direct expectation; phase-argument closeness
+    """Closed-form magnetization vs direct expectation; phase-argument closeness
     of the weak-drive approximation and its measured convergence order.
 
     ``nmr_arg_order`` measures the verbatim O(x³) target, which the first
@@ -188,16 +188,13 @@ def check_nmr(tol: float) -> list[dict]:
         for theta_deg in GRID_THETA_DEG:
             theta = math.radians(theta_deg)
             for n in (1, 2, 3):
-                point = nmr.transverse_magnetization_exact(x, theta, n)
-                err = max(err, abs(point.M_perp - nmr.direct_expectation(x, theta, n)))
+                M_perp = nmr.magnetization(x, theta, n)[0]
+                err = max(err, abs(M_perp - nmr.direct_expectation(x, theta, n)))
     theta60 = math.radians(60.0)
-    gap_point = nmr.transverse_magnetization_exact(0.1, theta60, 1)
-    gap = abs(gap_point.arg_exact - gap_point.arg_approx)
     xs = np.array([0.05, 0.1, 0.2])
-    gaps = np.array([
-        abs(p.arg_exact - p.arg_approx)
-        for p in (nmr.transverse_magnetization_exact(xv, theta60, 1) for xv in xs)
-    ])
+    gaps = np.array([abs(arg_exact - arg_approx) for _, arg_exact, arg_approx, _ in
+                     (nmr.magnetization(xv, theta60, 1) for xv in xs)])
+    gap = gaps[1]  # x = 0.1
     order = np.polyfit(np.log(xs), np.log(gaps), 1)[0]
     return [
         _check("nmr_expectation_equality", err, 1e-8),

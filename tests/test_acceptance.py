@@ -204,17 +204,17 @@ def test_criterion_8_nmr_consistency():
         for theta_deg in GRID_THETA_DEG:
             theta = math.radians(theta_deg)
             for n in (1, 2, 3):
-                point = nmr.transverse_magnetization_exact(x, theta, n)
-                err = max(err, abs(point.M_perp - nmr.direct_expectation(x, theta, n)))
+                M_perp = nmr.magnetization(x, theta, n)[0]
+                err = max(err, abs(M_perp - nmr.direct_expectation(x, theta, n)))
     clause_oracle = err <= 1e-8
-    point = nmr.transverse_magnetization_exact(0.1, THETA60, 1)
-    gap = abs(point.arg_exact - point.arg_approx)
+    _, arg_exact, arg_approx, _ = nmr.magnetization(0.1, THETA60, 1)
+    gap = abs(arg_exact - arg_approx)
     clause_gap = gap <= 0.05
     xs = np.array([0.05, 0.1, 0.2])
     smooth_gaps = []
     for xv in xs:
-        p = nmr.transverse_magnetization_exact(xv, THETA60, 1)
-        smooth_gaps.append(p.arg_exact - p.arg_approx - 2 * ripple(xv, THETA60, p.t))
+        _, arg_exact, arg_approx, _ = nmr.magnetization(xv, THETA60, 1)
+        smooth_gaps.append(arg_exact - arg_approx - 2 * ripple(xv, THETA60, 2 * math.pi / xv))
     smooth_gaps = np.array(smooth_gaps)
     order = float(np.polyfit(np.log(xs), np.log(np.abs(smooth_gaps)), 1)[0])
     clause_order = 1.9 <= order <= 2.1

@@ -221,6 +221,12 @@ class TestExitCodes:
         ("nmr", "--theta-deg", "60", "--x", "nan"),
         ("nmr", "--theta-deg", "60", "--x", "inf"),
         ("nmr", "--theta-deg", "nan", "--x", "0.3"),
+        ("nmr", "--theta-deg", "0", "--x", "1"),
+        ("nmr", "--theta-deg", "200", "--x", "0.3"),
+        ("nmr", "--theta-deg", "60", "--x", "0.3", "--n", "0"),
+        ("nmr", "--theta-deg", "60", "--x", "0.3", "--n", "-3"),
+        ("nmr", "--theta-deg", "60", "--x", "0"),
+        ("nmr", "--theta-deg", "60", "--x", "-0.3"),
         ("phase-sweep", "--theta-deg", "60", "--xf", "nan"),
         ("phase-sweep", "--theta-deg", "nan", "--xf", "0.3"),
         ("phase-sweep", "--theta-deg", "60", "--xf", "0.3", "--s", "1e300"),

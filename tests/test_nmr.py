@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nadphase import nmr
 from nadphase._fmt import csv_text
-from nadphase.rotating import exact_S
 from nadphase.sweep import dimensionless_params
 
 THETA60 = math.radians(60.0)
@@ -57,51 +57,49 @@ class TestExactAmplitudes:
 class TestMagnetizationExact:
     def test_matches_direct_expectation(self):
         for x, theta_deg, n in [(0.3, 60.0, 1), (0.2, 90.0, 2), (0.1, 30.0, 3)]:
-            point = nmr.transverse_magnetization_exact(x, math.radians(theta_deg), n)
+            M_perp = nmr.magnetization(x, math.radians(theta_deg), n)[0]
             direct = nmr.direct_expectation(x, math.radians(theta_deg), n)
-            assert abs(point.M_perp - direct) <= 1e-12
+            assert abs(M_perp - direct) <= 1e-12
 
     def test_adiabatic_limit(self):
         x, n = 1e-3, 1
-        point = nmr.transverse_magnetization_exact(x, THETA60, n)
+        M_perp = nmr.magnetization(x, THETA60, n)[0]
         d, _, _ = dimensionless_params(x, THETA60)
-        assert abs(point.M_perp - np.exp(1j * d * point.t)) <= 5e-3
+        assert abs(M_perp - np.exp(1j * d * 2 * math.pi * n / x)) <= 5e-3
 
     def test_magnitude_bounded(self):
         for x in (0.1, 0.3, 0.5):
-            for n in (1, 2):
-                point = nmr.transverse_magnetization_exact(x, THETA60, n)
-                assert abs(point.M_perp) <= 1 + 1e-12
+            M_perp = nmr.magnetization(x, THETA60, np.array([1, 2]))[0]
+            assert np.all(np.abs(M_perp) <= 1 + 1e-12)
 
     def test_dominant_term_bound(self):
-        point = nmr.transverse_magnetization_exact(0.3, THETA60, 1)
+        M_perp, arg_exact, _, _ = nmr.magnetization(0.3, THETA60, 1)
         A2 = 0.99883406186823750
         C_hat = 0.034145836228777627
-        dominant = A2 * np.exp(1j * point.arg_exact)
-        assert abs(point.M_perp - dominant) <= C_hat**2 + 2 * C_hat
+        dominant = A2 * np.exp(1j * arg_exact)
+        assert abs(M_perp - dominant) <= C_hat**2 + 2 * C_hat
 
     def test_rejects_bad_cycle_count(self):
-        with pytest.raises(ValueError):
-            nmr.transverse_magnetization_exact(0.3, THETA60, 0)
+        for n in (0, -3, 2.0, True, np.array([1, 0, 2]), np.array([1.0, 2.0])):
+            with pytest.raises(ValueError):
+                nmr.magnetization(0.3, THETA60, n)
 
 
 class TestMagnetizationApprox:
     def test_polar_limit_argument(self):
-        theta = 1e-9
-        point = nmr.magnetization_approx(0.25, theta, 2)
-        assert point.arg_approx == pytest.approx(2 * math.pi * 2 * (1 / 0.25 - 1), rel=1e-9)
+        arg_approx = nmr.magnetization(0.25, 1e-9, 2)[2]
+        assert arg_approx == pytest.approx(2 * math.pi * 2 * (1 / 0.25 - 1), rel=1e-9)
 
     def test_reference_argument(self):
-        point = nmr.magnetization_approx(0.3, THETA60, 1)
-        assert point.arg_approx == pytest.approx(ARG_APPROX_X03, abs=1e-9)
+        assert nmr.magnetization(0.3, THETA60, 1)[2] == pytest.approx(ARG_APPROX_X03, abs=1e-9)
 
     def test_rejects_x_zero(self):
         with pytest.raises(ValueError):
-            nmr.magnetization_approx(0.0, THETA60, 1)
+            nmr.magnetization(0.0, THETA60, 1)
 
     def test_arg_gap_at_reference(self):
-        point = nmr.transverse_magnetization_exact(0.1, THETA60, 1)
-        gap = abs(point.arg_exact - point.arg_approx)
+        _, arg_exact, arg_approx, _ = nmr.magnetization(0.1, THETA60, 1)
+        gap = abs(arg_exact - arg_approx)
         assert gap <= 0.05
         assert gap == pytest.approx(ARG_GAP_X01, abs=1e-6)
 
@@ -128,17 +126,45 @@ class TestMagnetizationTable:
         assert np.all(np.abs(table[:, 3]) <= 1 + 1e-12)
 
 
+cycles = dict(x=st.floats(0.01, 3.0), theta=st.floats(0.0, math.pi), n=st.integers(1, 200))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**cycles)
+def test_closed_form_is_the_propagated_state(x, theta, n):
+    assume(not (x == 1.0 and theta == 0.0))  # the splitting vanishes
+    M_perp, arg_exact, _, A2 = nmr.magnetization(x, theta, n)
+    assert abs(M_perp - nmr.direct_expectation(x, theta, n)) <= 1e-12
+    P_minus, P_plus, T_minus, T_plus = nmr.exact_amplitudes(x, theta, 2 * math.pi * n / x)
+    assert abs(M_perp - (P_minus + T_plus) * np.conj(P_plus + T_minus)) <= 1e-12
+    # the dominant term A²e^{i(dτ + 2ρ)} plus the transition probability Ĉ² = |T₋|²
+    assert abs(M_perp - A2 * np.exp(1j * arg_exact) - abs(T_minus) ** 2) <= 1e-9
+
+
+def _per_cycle_rows(x, theta, n_max):
+    # each row once more from the public per-cycle function
+    rows = []
+    for k in range(1, n_max + 1):
+        M_perp, arg_exact, arg_approx, A2 = nmr.magnetization(x, theta, k)
+        rows.append([k, x, math.degrees(theta), M_perp.real, A2 * np.cos(arg_approx),
+                     arg_exact, arg_approx, A2])
+    return rows
+
+
 @pytest.mark.parametrize("x, theta_deg, n_max", [(0.3, 60.0, 50), (2.0, 30.0, 20),
                                                  (0.05, 150.0, 30)])
 def test_table_rows_are_the_per_cycle_points(x, theta_deg, n_max):
-    # each row once more from the public per-cycle functions, byte for byte in the CSV
+    # byte for byte, in the array and in the CSV
     theta = math.radians(theta_deg)
-    rows = []
-    for n in range(1, n_max + 1):
-        exact = nmr.transverse_magnetization_exact(x, theta, n)
-        approx = nmr.magnetization_approx(x, theta, n)
-        rows.append([n, x, math.degrees(theta), exact.M_x, approx.M_x, exact.arg_exact, approx.arg_approx,
-                     abs(exact_S(x, theta, exact.t)) ** 2])
+    rows = _per_cycle_rows(x, theta, n_max)
     table = nmr.magnetization_table(x, theta, n_max)
     assert csv_text(nmr.MAGNETIZATION_HEADER, table) == csv_text(nmr.MAGNETIZATION_HEADER, rows)
     assert table.tobytes() == np.array(rows).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(**cycles)
+def test_table_columns_are_the_per_cycle_values(x, theta, n):
+    assume(not (x == 1.0 and theta == 0.0))
+    rows = _per_cycle_rows(x, theta, n)
+    assert nmr.magnetization_table(x, theta, n).tobytes() == np.array(rows).tobytes()

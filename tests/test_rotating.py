@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nadphase.rotating import (
     DegenerateSplittingError,
@@ -126,6 +126,14 @@ class TestExactRho:
         n = max(256, int(256 * tau / (2 * math.pi)) + 1)
         dense = np.unwrap(np.angle(exact_S(x, theta, np.linspace(0.0, tau, n))))[-1]
         assert abs(exact_rho(x, theta, tau) - dense) <= 1e-10
+
+    @settings(max_examples=50, deadline=None)
+    @given(x=st.floats(0.01, 3.0), theta=st.floats(0.0, math.pi), n_max=st.integers(1, 200))
+    def test_array_matches_scalar(self, x, theta, n_max):
+        assume(not (x == 1.0 and theta == 0.0))  # the splitting vanishes
+        taus = 2 * math.pi * np.arange(1, n_max + 1) / x
+        scalar = [exact_rho(x, theta, float(tau)) for tau in taus]
+        assert exact_rho(x, theta, taus).tobytes() == np.array(scalar).tobytes()
 
     def test_negative_detuning_turns_backward(self):
         # x = 2, theta = 30 deg: d < 0 and g < 0, the phase winds the other way
