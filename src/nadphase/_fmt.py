@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 
 def format_value(v) -> str:
     return f"{float(v):.12g}"
 
 
 def _lines(header, rows):
+    # one %-format per row; "%.12g" % v matches format_value(v) for every float
+    row_format = ",".join(["%.12g"] * len(header)) + "\n"
     yield ",".join(header) + "\n"
-    yield from (",".join(map(format_value, row)) + "\n" for row in rows)
+    yield from (row_format % tuple(row.tolist()) for row in np.asarray(rows, dtype=float))
 
 
 def csv_text(header, rows) -> str:

@@ -4,9 +4,11 @@ Subcommands: ``eigen`` (instantaneous eigensystem and couplings), ``evolve``
 (amplitude trajectory to CSV), ``phase-sweep`` (the three-curve phase dataset
 to CSV), ``nmr`` (magnetization table to CSV), and ``validate`` (the
 cross-oracle suite to a JSON report). Angles are taken in degrees on the
-command line and converted to radians internally. A JSON file mirroring the
-configuration fields can be passed with ``--config``; explicit flags override
-its values. All outputs are deterministic for a fixed configuration.
+command line and converted to radians internally. ``--config file.json``
+sets fields of one command: each key is a field of that command's flags
+(``theta_deg`` for ``--theta-deg``, ``x_f`` for ``--xf``), each value a number
+or a string, typed as its flag is. Flags given on the command line override
+the file. All outputs are deterministic for a fixed configuration.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (including
 failed validation checks), 4 I/O error (an unwritable ``--out`` is found before
@@ -21,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import engine, nmr, paths
 from ._fmt import format_value, json_text, write_csv
@@ -32,41 +33,13 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    theta_deg: float | None = None
-    phi_deg: float = 0.0
-    r: float = 1.0
-    omega: float | None = None
-    x: float | None = None
-    x_f: float | None = None
-    s: float = 1.0
-    tau: float | None = None
-    n: int = 1
-    grid: int = 512
-    tol: float = 1e-10
-    path_file: str | None = None
-    out: str | None = None
-
-    def validate(self) -> None:
-        if not 0 < self.tol <= 1e-4:
-            raise ConfigError(f"tol must lie in (0, 1e-4], got {self.tol}")
-        if self.tau is not None and not 0 <= self.tau < math.inf:
-            raise ConfigError(f"tau must be finite and non-negative, got {self.tau}")
-        if self.command == "evolve" and self.x is not None and self.x_f is not None:
-            raise ConfigError("evolve takes x, not x_f")
-        if self.command == "phase-sweep" and self.x is not None:
-            raise ConfigError("phase-sweep takes x_f, not x")
-
-
 def _write_json(obj, out: str | None) -> None:
     """``obj`` as JSON to the file ``out``, or to stdout when it is not given."""
     with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(json_text(obj))
 
 
-def _cmd_eigen(cfg: RunConfig) -> int:
+def _cmd_eigen(cfg: argparse.Namespace) -> int:
     if cfg.theta_deg is None:
         raise ConfigError("eigen requires --theta-deg")
     if not (0 <= cfg.theta_deg <= 180 and math.isfinite(cfg.phi_deg) and 0 < cfg.r < math.inf):
@@ -101,7 +74,7 @@ def _cmd_eigen(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_evolve(cfg: RunConfig) -> int:
+def _cmd_evolve(cfg: argparse.Namespace) -> int:
     if cfg.tau is None:
         raise ConfigError("evolve requires --tau")
     if cfg.out is None:
@@ -122,7 +95,7 @@ def _cmd_evolve(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_phase_sweep(cfg: RunConfig) -> int:
+def _cmd_phase_sweep(cfg: argparse.Namespace) -> int:
     from . import sweep  # loads scipy, which the other commands do not need
     if cfg.theta_deg is None or cfg.x_f is None:
         raise ConfigError("phase-sweep requires --theta-deg and --xf")
@@ -138,7 +111,7 @@ def _cmd_phase_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_nmr(cfg: RunConfig) -> int:
+def _cmd_nmr(cfg: argparse.Namespace) -> int:
     if cfg.theta_deg is None or cfg.x is None:
         raise ConfigError("nmr requires --theta-deg and --x")
     if cfg.out is None:
@@ -151,7 +124,7 @@ def _cmd_nmr(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
+def _cmd_validate(cfg: argparse.Namespace) -> int:
     from . import validate
     report = validate.run_validation(tol=cfg.tol)
     _write_json(report, cfg.out)
@@ -163,104 +136,84 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return 0 if report["pass"] else 3
 
 
+# Each configuration field as (flag, type, default, help). A command takes the
+# fields _COMMANDS lists, both as flags and as keys of a --config file.
+_FIELDS = {
+    "theta_deg": ("--theta-deg", float, None, None),
+    "phi_deg": ("--phi-deg", float, 0.0, "default %(default)s"),
+    "r": ("--r", float, 1.0, "field magnitude, default %(default)s"),
+    "omega": ("--omega", float, None, "include precession couplings at this rate"),
+    "x": ("--x", float, None, "dimensionless drive (2R = 1 units)"),
+    "x_f": ("--xf", float, None, None),
+    "s": ("--s", float, 1.0, "precession cycle count, default %(default)s"),
+    "tau": ("--tau", float, None, "end time"),
+    "n": ("--n", int, 1, "number of cycles, default %(default)s"),
+    "grid": ("--grid", int, 512, "default %(default)s"),
+    "tol": ("--tol", float, 1e-10, "default %(default)s"),
+    "path_file": ("--path-file", str, None, "sampled path CSV (t,theta,phi,R)"),
+    "out": ("--out", str, None, None),
+}
+
 _COMMANDS = {
-    "eigen": _cmd_eigen,
-    "evolve": _cmd_evolve,
-    "phase-sweep": _cmd_phase_sweep,
-    "nmr": _cmd_nmr,
-    "validate": _cmd_validate,
+    "eigen": (_cmd_eigen, "instantaneous eigensystem (JSON)",
+              ("theta_deg", "phi_deg", "r", "omega", "out")),
+    "evolve": (_cmd_evolve, "amplitude trajectory (CSV)",
+               ("theta_deg", "x", "tau", "tol", "path_file", "out")),
+    "phase-sweep": (_cmd_phase_sweep, "phase-correction curves A, B, C (CSV)",
+                    ("theta_deg", "x_f", "s", "grid", "tol", "out")),
+    "nmr": (_cmd_nmr, "transverse magnetization per cycle (CSV)",
+            ("theta_deg", "x", "n", "out")),
+    "validate": (_cmd_validate, "cross-oracle validation report (JSON)", ("tol", "out")),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # argparse defaults are suppressed so values absent from the command line
-    # fall through to the JSON config and then to the RunConfig defaults
-    S = argparse.SUPPRESS
+def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The ``--config`` pre-parser, and the full parser that includes it."""
+    config = argparse.ArgumentParser(prog="nadphase", add_help=False, allow_abbrev=False)
+    config.add_argument("--config", help="JSON file of the command's fields; flags override it")
     parser = argparse.ArgumentParser(
-        prog="nadphase",
+        prog=config.prog, parents=[config], allow_abbrev=False,
         description="Two-level-system evolution engine: persistence amplitudes, "
                     "non-adiabatic phase corrections, and NMR observables.")
-    parser.add_argument("--config", default=S,
-                        help="JSON file mirroring the run configuration")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("eigen", help="instantaneous eigensystem (JSON)")
-    p.add_argument("--theta-deg", type=float, default=S)
-    p.add_argument("--phi-deg", type=float, default=S, help="default 0")
-    p.add_argument("--r", type=float, default=S, help="field magnitude, default 1")
-    p.add_argument("--omega", type=float, default=S,
-                   help="include precession couplings at this rate")
-    p.add_argument("--out", default=S)
-
-    p = sub.add_parser("evolve", help="amplitude trajectory (CSV)")
-    p.add_argument("--theta-deg", type=float, default=S)
-    p.add_argument("--x", type=float, default=S, help="dimensionless drive (2R = 1 units)")
-    p.add_argument("--tau", type=float, default=S, help="end time")
-    p.add_argument("--tol", type=float, default=S, help="default 1e-10")
-    p.add_argument("--path-file", default=S, help="sampled path CSV (t,theta,phi,R)")
-    p.add_argument("--out", default=S)
-
-    p = sub.add_parser("phase-sweep", help="phase-correction curves A, B, C (CSV)")
-    p.add_argument("--theta-deg", type=float, default=S)
-    p.add_argument("--xf", type=float, dest="x_f", default=S)
-    p.add_argument("--s", type=float, default=S, help="precession cycle count, default 1")
-    p.add_argument("--grid", type=int, default=S, help="default 512")
-    p.add_argument("--tol", type=float, default=S, help="default 1e-10")
-    p.add_argument("--out", default=S)
-
-    p = sub.add_parser("nmr", help="transverse magnetization per cycle (CSV)")
-    p.add_argument("--theta-deg", type=float, default=S)
-    p.add_argument("--x", type=float, default=S)
-    p.add_argument("--n", type=int, default=S, help="number of cycles, default 1")
-    p.add_argument("--out", default=S)
-
-    p = sub.add_parser("validate", help="cross-oracle validation report (JSON)")
-    p.add_argument("--tol", type=float, default=S, help="default 1e-10")
-    p.add_argument("--out", default=S)
-
-    return parser
+    for command, (_, summary, fields) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for field in fields:
+            flag, kind, default, help_text = _FIELDS[field]
+            p.add_argument(flag, dest=field, type=kind, default=default, help=help_text)
+    return config, parser
 
 
-def _config_from_args(args: argparse.Namespace, overrides: dict) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for key, value in overrides.items():
-        if not hasattr(cfg, key):
-            raise ConfigError(f"unknown configuration field '{key}'")
-        setattr(cfg, key, value)
-    for key in vars(cfg):
-        if hasattr(args, key):
-            setattr(cfg, key, getattr(args, key))
-    cfg.command = args.command
-    return cfg
-
-
-def _extract_config_path(argv: list) -> str | None:
-    # handled before argparse so --config works in any position
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise ConfigError("--config needs a file argument")
-            path = argv[i + 1]
-            del argv[i:i + 2]
-            return path
-        if token.startswith("--config="):
-            del argv[i]
-            return token.split("=", 1)[1]
-    return None
+def _splice_config(file: str, argv: list) -> list:
+    """``argv`` with the fields of the JSON config ``file`` inserted as
+    ``--flag=value`` right after the command (the ``=`` keeps a value such as
+    ``-0.3`` from being read as an option), so argparse types them as it types
+    flags and a later flag overrides them. A command in ``argv`` wins."""
+    with open(file) as fh:
+        fields = json.load(fh)
+    if not isinstance(fields, dict):
+        raise ConfigError("config file must hold a JSON object")
+    command = fields.pop("command", None)
+    if argv and not argv[0].startswith("-"):
+        command, argv = argv[0], argv[1:]
+    if not (isinstance(command, str) and command in _COMMANDS):
+        raise ConfigError(f"choose a command from {', '.join(_COMMANDS)}; got {command!r}")
+    takes = _COMMANDS[command][2]
+    for key, value in fields.items():
+        if key not in takes:
+            raise ConfigError(f"{command} takes no configuration field '{key}'")
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ConfigError(f"configuration field '{key}' must be a number or a string, "
+                              f"got {json.dumps(value)}")
+    return [command, *(f"{_FIELDS[key][0]}={value}" for key, value in fields.items()), *argv]
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-
-    overrides = {}
+    config, parser = build_parser()
+    opts, argv = config.parse_known_args(sys.argv[1:] if argv is None else argv)
     try:
-        config_path = _extract_config_path(argv)
-        if config_path:
-            with open(config_path) as fh:
-                overrides = json.load(fh)
-            if not isinstance(overrides, dict):
-                raise ConfigError("config file must hold a JSON object")
+        if opts.config is not None and argv[:1] not in (["-h"], ["--help"]):
+            argv = _splice_config(opts.config, argv)
     except ConfigError as exc:
         print(f"nadphase: configuration error: {exc}", file=sys.stderr)
         return 2
@@ -268,31 +221,22 @@ def main(argv=None) -> int:
         print(f"nadphase: cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    wants_help = argv[:1] in (["-h"], ["--help"])
-    if not wants_help and (not argv or argv[0].startswith("-")):
-        command = overrides.pop("command", None)
-        if command not in _COMMANDS:
-            parser.print_usage(sys.stderr)
-            return 2
-        argv = [command] + argv
-    else:
-        overrides.pop("command", None)
-
     args = parser.parse_args(argv)
-
-    try:
-        cfg = _config_from_args(args, overrides)
-        cfg.validate()
-    except (ConfigError, TypeError, ValueError) as exc:
-        print(f"nadphase: configuration error: {exc}", file=sys.stderr)
+    if args.command is None:
+        parser.print_usage(sys.stderr)
         return 2
 
+    fields = vars(args)
     try:
-        out = cfg.out  # checked before any numerics; the file is not opened yet
+        if "tol" in fields and not 0 < args.tol <= 1e-4:
+            raise ConfigError(f"tol must lie in (0, 1e-4], got {args.tol}")
+        if fields.get("tau") is not None and not 0 <= args.tau < math.inf:
+            raise ConfigError(f"tau must be finite and non-negative, got {args.tau}")
+        out = args.out  # checked before any numerics; the file is not opened yet
         if out is not None and (os.path.isdir(out)
                                 or not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK)):
             raise OSError(f"cannot write {out!r}: not a file in a writable directory")
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"nadphase: configuration error: {exc}", file=sys.stderr)
         return 2

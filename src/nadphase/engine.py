@@ -29,6 +29,7 @@ from .paths import CouplingKernel, gauss_nodes, instantaneous_eigensystem
 
 _FIRST_STEPS = 256
 MAX_STEPS = 2**19  # bounds a run to about 1.3 s and 190 MB (README, "Engine")
+SERIES_QUAD_TOL = 1e-12  # series_persistence refines its grid until two estimates agree to this
 
 
 class StepFailureError(RuntimeError):
@@ -268,8 +269,7 @@ def sliced_propagator(path, t: float, n: int) -> SlicedPropagatorResult:
     return SlicedPropagatorResult(U=U, P_minus=complex(P_minus), T_minus=complex(T_minus))
 
 
-def series_persistence(kernel: CouplingKernel, t: float, order: int,
-                       quad_tol: float = 1e-12) -> complex:
+def series_persistence(kernel: CouplingKernel, t: float, order: int) -> complex:
     """Truncated transition-series estimate of S(t).
 
     Evaluates the alternating nested integrals
@@ -279,7 +279,7 @@ def series_persistence(kernel: CouplingKernel, t: float, order: int,
     truncated after ``order`` transition pairs (order ∈ {0, 1, 2}; order 0
     returns 1). The ordered integrals are computed as cumulative Simpson
     antiderivatives on a uniform grid that is refined (doubled) until two
-    successive estimates agree to ``quad_tol``. Intended for short windows
+    successive estimates agree to ``SERIES_QUAD_TOL``. Intended for short windows
     where the truncation error (|F|·t)^{2·order+2}/(2·order+2)! is small.
     """
     if order not in (0, 1, 2):
@@ -310,10 +310,10 @@ def series_persistence(kernel: CouplingKernel, t: float, order: int,
     while m <= 2**15:
         m *= 2
         cur = estimate(m)
-        if abs(cur - prev) <= quad_tol:
+        if abs(cur - prev) <= SERIES_QUAD_TOL:
             return cur
         prev = cur
-    raise RuntimeError(f"series quadrature did not converge to {quad_tol} by m = {m}")
+    raise RuntimeError(f"series quadrature did not converge to {SERIES_QUAD_TOL} by m = {m}")
 
 
 TRAJECTORY_HEADER = ["t", "Re_S", "Im_S", "Re_I", "Im_I", "rho", "A", "unitarity_defect"]

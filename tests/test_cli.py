@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nadphase import cli, rotating
+from nadphase import _fmt, cli, rotating
 
 
 def run_cli(*args, cwd=None, timeout=None):
@@ -82,9 +82,17 @@ class TestEvolveCommand:
         assert res.returncode == 2
 
 
+def test_csv_values_have_12_significant_digits():
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1.7976931348623157e308]
+    values = special + list(rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 300, 2000))
+    text = _fmt.csv_text(["a", "b"], np.reshape(values, (-1, 2)))
+    assert text == "a,b\n" + "".join(f"{a:.12g},{b:.12g}\n" for a, b in zip(*[iter(values)] * 2))
+
+
 def test_written_csv_is_the_csv_text(tmp_path):
     # write_csv streams its rows; the file holds the bytes csv_text builds whole
-    from nadphase import _fmt, nmr
+    from nadphase import nmr
     table = nmr.magnetization_table(0.3, math.radians(60.0), 7)
     _fmt.write_csv(tmp_path / "m.csv", nmr.MAGNETIZATION_HEADER, table)
     text = _fmt.csv_text(nmr.MAGNETIZATION_HEADER, table)
@@ -150,30 +158,72 @@ class TestNmrCommand:
         assert np.all(data[:, 7] <= 1.0)
 
 
+# per command: the fields of a config file, and the same run as flags
+CONFIG_RUNS = {
+    "eigen": ({"theta_deg": 60, "phi_deg": 10, "r": 1.3, "omega": 0.4},
+              ["--theta-deg", "60", "--phi-deg", "10", "--r", "1.3", "--omega", "0.4"]),
+    "evolve": ({"theta_deg": 60, "x": 0.3, "tau": 5, "tol": "1e-9"},
+               ["--theta-deg", "60", "--x", "0.3", "--tau", "5", "--tol", "1e-9"]),
+    "phase-sweep": ({"theta_deg": 60.0, "x_f": 0.3, "s": 1.0, "grid": 64},
+                    ["--theta-deg", "60", "--xf", "0.3", "--grid", "64"]),
+    "nmr": ({"theta_deg": 30, "x": 0.3, "n": 5}, ["--theta-deg", "30", "--x", "0.3", "--n", "5"]),
+    "validate": ({"tol": 1e-10}, []),
+}
+
+
 class TestConfigFile:
-    def test_config_matches_flags(self, tmp_path):
+    @pytest.mark.parametrize("command", sorted(CONFIG_RUNS))
+    def test_config_matches_flags(self, tmp_path, command):
+        fields, flags = CONFIG_RUNS[command]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "command": "phase-sweep", "theta_deg": 60.0, "x_f": 0.3,
-            "s": 1.0, "grid": 64, "out": str(tmp_path / "from_config.csv"),
+            "command": command, **fields, "out": str(tmp_path / "from_config"),
         }))
-        res = run_cli("--config", str(cfg))
-        assert res.returncode == 0, res.stderr
-        res = run_cli("phase-sweep", "--theta-deg", "60", "--xf", "0.3",
-                      "--grid", "64", "--out", str(tmp_path / "from_flags.csv"))
-        assert res.returncode == 0, res.stderr
-        assert (tmp_path / "from_config.csv").read_bytes() == \
-               (tmp_path / "from_flags.csv").read_bytes()
+        from_config = run_cli("--config", str(cfg))
+        from_flags = run_cli(command, *flags, "--out", str(tmp_path / "from_flags"))
+        assert from_config.returncode == from_flags.returncode, from_config.stderr
+        assert from_flags.returncode == (3 if command == "validate" else 0), from_flags.stderr
+        assert (tmp_path / "from_config").read_bytes() == \
+               (tmp_path / "from_flags").read_bytes()
 
     def test_flags_override_config(self, tmp_path):
+        # the command in argv wins over the file's, and a flag over a field
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"theta_deg": 60.0, "x_f": 0.3, "grid": 512}))
+        cfg.write_text(json.dumps({"command": "nmr", "theta_deg": 60.0, "x_f": 0.3,
+                                   "grid": 512}))
         out = tmp_path / "o.csv"
         res = run_cli("phase-sweep", "--config", str(cfg), "--grid", "16",
                       "--out", str(out))
         assert res.returncode == 0, res.stderr
-        _, data = read_csv(out)
-        assert data.shape[0] == 16
+        header, data = read_csv(out)
+        assert header[0] == "x" and data.shape[0] == 16
+
+    @pytest.mark.parametrize("command, fields", [
+        ("phase-sweep", {"grid": "many"}),
+        ("nmr", {"x": [1]}),
+        ("nmr", {"out": None}),
+        ("nmr", {"theta_deg": True}),
+        ("nmr", {"n": {"value": 2}}),
+        ("nmr", {"grid": 64}),     # a field of another command
+        ("nmr", {"x_f": 0.3}),
+        ("evolve", {"x_f": 0.3}),
+        ("phase-sweep", {"x": 0.3}),
+    ])
+    def test_mistyped_or_foreign_field_exits_2(self, tmp_path, command, fields):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        base = {"phase-sweep": ["--xf", "0.3"], "nmr": ["--x", "0.3"],
+                "evolve": ["--x", "0.3", "--tau", "1"]}[command]
+        res = run_cli(command, "--theta-deg", "60", *base, "--config", str(cfg),
+                      "--out", "o.csv", cwd=tmp_path, timeout=30)
+        assert res.returncode == 2, res.stderr
+        assert "configuration error" in res.stderr or "error: argument" in res.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_config_without_a_file(self):
+        res = run_cli("nmr", "--theta-deg", "60", "--x", "0.3", "--config")
+        assert res.returncode == 2
+        assert "error: argument --config" in res.stderr
 
 
 class TestExitCodes:
