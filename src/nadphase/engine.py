@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .paths import CouplingKernel, gauss_nodes, instantaneous_eigensystem
+from .paths import CouplingKernel, instantaneous_eigensystem
 
 _FIRST_STEPS = 256
 MAX_STEPS = 2**19  # bounds a run to about 1.3 s and 190 MB (README, "Engine")
@@ -56,6 +56,12 @@ class AmplitudeResult:
     dyn_phase_minus: float
 
 
+def gauss_nodes(t0, h):
+    """The two Gauss-Legendre nodes of each step [t0, t0 + h], on a last axis
+    of 2; the rule h·(f₁ + f₂)/2 is exact for cubics."""
+    return np.asarray(t0)[..., None] + np.multiply.outer(h, [0.5 - 3**0.5 / 6, 0.5 + 3**0.5 / 6])
+
+
 def _phase_rates(kernel: CouplingKernel, nodes) -> np.ndarray:
     """(γ̇₋, γ̇₊, −E₊, E₊, δ) at ``nodes`` on a first axis of 5, E₊ = (δ + γ̇₊ − γ̇₋)/2."""
     (g_plus, g_minus), delta = kernel.gamma_rates(nodes), kernel.delta(nodes)
@@ -82,20 +88,20 @@ def _magnus_steps(F, h, w):
     return da + p + da * p, beta * sinc, r
 
 
-def _product(u, v):
-    """The products u·v of SU(2) elements held as rows (da, b)."""
-    return np.stack([u[0] + v[0] + u[0] * v[0] - u[1] * np.conj(v[1]),
-                     u[1] + v[1] + u[0] * v[1] + u[1] * np.conj(v[0])])
+def _product(da, b, ea, c):
+    """The products u·v of SU(2) elements u = (da, b) and v = (ea, c), as a pair."""
+    return da + ea + da * ea - b * np.conj(c), b + c + da * c + b * np.conj(ea)
 
 
-def _prefix_products(u):
-    """Prefix products u_k ⋯ u_0 of 2^m SU(2) elements by a log-depth scan:
-    multiply neighbours in pairs, scan the pairs, extend each by one element."""
-    if u.shape[1] > 1:
-        pairs = _prefix_products(_product(u[:, 1::2], u[:, ::2]))
-        u = u.copy()
-        u[:, 1::2], u[:, 2::2] = pairs, _product(u[:, 2::2], pairs[:, :-1])
-    return u
+def _prefix_products(da, b):
+    """Prefix products u_k ⋯ u_0 of 2^m SU(2) elements u = (da, b) by a log-depth
+    scan: multiply neighbours in pairs, scan the pairs, extend each by one element."""
+    if len(da) > 1:
+        pa, pb = _prefix_products(*_product(da[1::2], b[1::2], da[::2], b[::2]))
+        da, b = da.copy(), b.copy()
+        da[1::2], b[1::2] = pa, pb
+        da[2::2], b[2::2] = _product(da[2::2], b[2::2], pa[:-1], pb[:-1])
+    return da, b
 
 
 class Trajectory:
@@ -179,7 +185,7 @@ def evolve(kernel: CouplingKernel, t_end: float, tol: float = 1e-10) -> Trajecto
             raise StepFailureError(f"kernel value not finite at t = {nodes.flat[np.argmax(bad)]}")
         w = float(np.mean(rates[4])) if coarse is None else w  # fixed for the run
         da, b, r = _magnus_steps(F, t_end / n, w)
-        da, b = _prefix_products(np.stack([da, b]))
+        da, b = _prefix_products(da, b)
         psi = np.column_stack([[1.0, 0.0], np.stack([1.0 + np.conj(da), b])])
         if coarse is not None:
             gap = psi[:, ::2] - coarse

@@ -162,8 +162,8 @@ def berry_phase(path, level: int, t: float) -> float:
     """Geometric phase γ±(t) = ∫₀ᵗ γ̇±, with ``level`` ∈ {+1, −1}.
 
     For the precessing family this is −(ωt/2)(1 ∓ cosθ) in closed form
-    (upper sign for level +1). Sampled paths sum the two-point Gauss rule
-    over max(1024, 8·samples) equal steps, from one array evaluation.
+    (upper sign for level +1). A sampled path gives ``path.integral`` of γ̇±
+    at t: Gauss-Legendre sums on pieces of its sample intervals.
     """
     if level not in (+1, -1):
         raise ValueError(f"level must be +1 or -1, got {level}")
@@ -171,25 +171,16 @@ def berry_phase(path, level: int, t: float) -> float:
         half = path.theta / 2
         sq = math.sin(half) ** 2 if level == +1 else math.cos(half) ** 2
         return -path.omega * t * sq
-    n = max(1024, 8 * len(path.t))
-    h = t / n
-    rates = _berry_rates(path.state(gauss_nodes(h * np.arange(n), h)))
-    return float(0.5 * h * np.sum(rates[0 if level == +1 else 1]))
-
-
-def gauss_nodes(t0, h):
-    """The two Gauss-Legendre nodes of each step [t0, t0 + h], on a last axis
-    of 2; the rule h·(f₁ + f₂)/2 is exact for cubics."""
-    return np.asarray(t0)[..., None] + np.multiply.outer(h, [0.5 - 3**0.5 / 6, 0.5 + 3**0.5 / 6])
+    return float(path.integral(lambda state: _berry_rates(state)[0 if level == +1 else 1])(t))
 
 
 def make_kernel(path) -> CouplingKernel:
     """Build the coupling kernel F, δ, (γ̇₊, γ̇₋) for a path.
 
     Members take a time or an array of times. On a precessing path Γ₋, δ and
-    γ̇± are constant, so F(t) = Γ₋e^{iδt} exactly. Sampled paths accumulate
-    ∫δ with a spline antiderivative of δ tabulated on a fine grid; a member
-    makes one path evaluation, F one more of ∫δ.
+    γ̇± are constant, so F(t) = Γ₋e^{iδt} exactly. Sampled paths take ∫δ from
+    ``SampledPath.integral``, Gauss-Legendre pieces of the sample intervals; a
+    member makes one path evaluation, F one more of ∫δ.
     """
     if path.kind == "precessing":
         state = path.state(0.0)

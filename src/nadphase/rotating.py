@@ -55,6 +55,8 @@ def solve_rotating_frame(x: float, theta: float) -> RotatingFrameSolution:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     d = 1 - x * math.cos(theta)
     e = math.sqrt(1 - 2 * x * math.cos(theta) + x * x)
+    if e == 0.0:  # 0 by cancellation near x = 1, θ = 0; e² = (1 − x)² + x(sinθ/cos(θ/2))² is not
+        e = math.hypot(1 - x, math.sqrt(x) * math.sin(theta) / math.cos(theta / 2))
     if e == 0.0:
         raise DegenerateSplittingError("Omega0 = 0 at x = 1, theta = 0")
     theta_bar = math.atan2(math.sin(theta), math.cos(theta) - x)

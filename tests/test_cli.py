@@ -335,6 +335,7 @@ PATH_FILES = {
     "non_monotone": ["0,1.2,0,0.5", "1,1.2,0,0.5", "0.5,1.2,0,0.5", "2,1.2,0,0.5", "3,1.2,0,0.5"],
     "repeated_t": ["0,1.2,0,0.5", "1,1.2,0,0.5", "1,1.2,0,0.5", "2,1.2,0,0.5", "3,1.2,0,0.5"],
     "three_rows": SMOOTH[:3],
+    "three_columns": [row.rsplit(",", 1)[0] for row in SMOOTH],
     "ragged": SMOOTH[:5] + ["3,1.2,0"],
     "nan": SMOOTH[:5] + ["3,nan,0,0.5"] + SMOOTH[7:],
     "negative_R": SMOOTH[:5] + ["3,1.2,0,-0.5"] + SMOOTH[7:],

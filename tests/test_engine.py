@@ -12,7 +12,6 @@ from nadphase.paths import (
     PrecessingPath,
     SampledPath,
     berry_phase,
-    gauss_nodes,
     instantaneous_eigensystem,
     make_kernel,
 )
@@ -278,10 +277,29 @@ def fixed_step(kernel, t_end, n, w):
     """(S, I) at the nodes after t = 0 of exactly n Magnus steps in the frame
     turning at w, as evolve takes them."""
     ts = np.linspace(0.0, t_end, n + 1)
-    nodes = gauss_nodes(ts[:-1], t_end / n)
+    nodes = engine.gauss_nodes(ts[:-1], t_end / n)
     da, b, _ = engine._magnus_steps(kernel.F(nodes), t_end / n, w)
-    da, b = engine._prefix_products(np.stack([da, b]))
+    da, b = engine._prefix_products(da, b)
     return ts[1:], 1.0 + np.conj(da), b
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 512])
+def test_prefix_products_match_a_sequential_product(n):
+    # random SU(2) steps turning by up to 0.05 rad, as a converged run's steps do,
+    # multiplied one at a time from the left in extended precision as deviations
+    # D from 1: (1 + E)(1 + D) = 1 + E + D + ED
+    rng = np.random.default_rng(n)
+    r = rng.uniform(0.0, 0.05, n)
+    axis = rng.normal(size=(3, n))
+    axis /= np.linalg.norm(axis, axis=0)
+    sinc = np.sinc(r / np.pi)
+    da, b = -2 * np.sin(0.5 * r) ** 2 + 1j * r * axis[2] * sinc, r * (axis[0] + 1j * axis[1]) * sinc
+    prefix_da, prefix_b = engine._prefix_products(da, b)
+    D = np.zeros((2, 2), dtype=np.clongdouble)
+    for k in range(n):
+        E = np.array([[da[k], b[k]], [-np.conj(b[k]), np.conj(da[k])]], dtype=np.clongdouble)
+        D = E + D + E @ D
+        assert abs(prefix_da[k] - D[0, 0]) <= 1e-15 and abs(prefix_b[k] - D[0, 1]) <= 1e-15
 
 
 def varying_path(duration, samples, theta_amp, theta_freq, phi_rate, phi_amp, R_amp, R_freq,
@@ -369,7 +387,7 @@ class TestMagnusProperties:
         assert np.max(np.abs(engine.trajectory_table(traj)[:, 5] - exact)) <= 1e-8
         # no kept step turns by more than a quarter turn, and stats says so
         h = traj.ts[1]
-        nodes = gauss_nodes(traj.ts[:-1], h)
+        nodes = engine.gauss_nodes(traj.ts[:-1], h)
         _, _, r = engine._magnus_steps(kernel.F(nodes), h, traj.stats["w"])
         assert np.max(r) <= math.pi / 2
         assert traj.stats["max_step_turn"] == pytest.approx(np.max(r), rel=1e-12)

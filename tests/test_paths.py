@@ -31,6 +31,33 @@ def varied_samples(t0=0.0, t_max=6.0, n=121):
             0.5 + 0.1 * np.sin(0.5 * u))
 
 
+def sampled(n, t_max, theta, phi, R):
+    """A path of n samples on [0, t_max] of the functions theta, phi and R of u."""
+    u = np.linspace(0.0, t_max, n)
+    return SampledPath(u, theta(u), phi(u), R(u))
+
+
+# (a) many samples over a long window, (b) few samples per turn, (c) four samples
+QUAD_PATHS = {
+    "a": lambda: sampled(101, 188.0, lambda u: 1.5 + 0.3 * np.sin(0.5 * u),
+                         lambda u: 0.3 * u + 0.5 * np.cos(0.4 * u),
+                         lambda u: 0.5 + 0.1 * np.sin(0.3 * u)),
+    "b": lambda: sampled(21, 60.0, lambda u: 1.5 + 0.5 * np.sin(0.7 * u),
+                         lambda u: 0.8 * u + np.cos(0.9 * u),
+                         lambda u: 0.5 + 0.2 * np.sin(0.6 * u)),
+    "c": lambda: sampled(4, 3.0, lambda u: 1.2 + 0.3 * u, lambda u: u**2, lambda u: 0.5 + 0 * u),
+    "d": lambda: SampledPath(*varied_samples()),
+}
+
+
+def quad_at_knots(f, path, t):
+    """∫₀ᵗ f by adaptive quadrature split at the sample knots, where f is smooth between."""
+    knots = path.t[(path.t > 0) & (path.t < t)]
+    value, _ = quad(f, 0.0, t, points=knots, limit=2 * len(knots) + 50,
+                    epsabs=1e-13, epsrel=1e-13)
+    return value
+
+
 class TestEigensystem:
     def test_north_pole(self):
         E_plus, E_minus, v_plus, v_minus = instantaneous_eigensystem(0.0, 0.0, 1.0)
@@ -172,6 +199,14 @@ class TestBerryPhase:
             reference = simpson(-phi_dot * half**2, x=u)
             assert abs(berry_phase(path, level, 5.0) - reference) <= 1e-9
 
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    def test_sampled_matches_quadrature(self, name):
+        path = QUAD_PATHS[name]()
+        for t in np.random.default_rng(30).uniform(0.0, path.duration, 12):
+            for level, rate in ((+1, "gamma_rate_plus"), (-1, "gamma_rate_minus")):
+                exact = quad_at_knots(lambda u: getattr(coupling_at(path, u), rate), path, t)
+                assert abs(berry_phase(path, level, t) - exact) <= 1e-12
+
     def test_bad_level(self):
         with pytest.raises(ValueError):
             berry_phase(PrecessingPath(R=1.0, theta=0.8, omega=0.3), 0, 1.0)
@@ -291,6 +326,16 @@ class TestSampledKernelOracle:
         assert np.max(np.abs(engine.sliced_propagator(path, t, n).U - U)) <= 1e-13
 
 
+@pytest.mark.parametrize("name", sorted(QUAD_PATHS))
+def test_sampled_phase_matches_quadrature(name):
+    # F = Γ₋e^{i∫δ} at 12 seeded times, ∫δ by adaptive quadrature of the path's δ
+    path = QUAD_PATHS[name]()
+    kernel = make_kernel(path)
+    for t in np.random.default_rng(31).uniform(0.0, path.duration, 12):
+        phase = quad_at_knots(lambda u: float(kernel.delta(u)), path, t)
+        assert abs(kernel.F(t) - coupling_at(path, t).Gamma_minus * np.exp(1j * phase)) <= 1e-12
+
+
 @settings(max_examples=15, deadline=None)
 @given(t0=st.floats(0.0, 10.0))
 def test_sampled_time_shift_invariance(t0):
@@ -362,6 +407,14 @@ class TestPathValidation:
         theta, phi = path.angles(1.0)
         assert theta == pytest.approx(1.2)
         assert phi == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("text", ["", "t,theta,phi,R\n", "t,theta,phi,R\n" + "".join(
+        f"{i},1.2,{0.3 * i}\n" for i in range(6))], ids=["empty", "header_only", "three_columns"])
+    def test_csv_rejects_files_without_four_columns_of_rows(self, tmp_path, text):
+        f = tmp_path / "path.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError):
+            load_path_csv(f)
 
     def test_csv_rejects_bad_header(self, tmp_path):
         f = tmp_path / "bad.csv"
