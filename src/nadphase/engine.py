@@ -38,18 +38,17 @@ class StepFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class AmplitudeResult:
-    """Assembled amplitudes at one time.
+    """Assembled amplitudes at one time, on every path.
 
-    P₋ = e^{iγ₋ − i∫E₋}·S and T₋ = −e^{iγ₊ − i∫E₊}·I always; P₊ and T₊ are
-    filled from the precessing-family closed relations (P₊ = e^{iγ₊ − i∫E₊}·S*,
-    T₊ = T₋) and are None for sampled paths. ``dyn_phase_minus`` is the
-    dynamical phase −∫₀ᵗ E₋ dτ, so P₋ = e^{i(γ₋ + dyn)}·A·e^{iρ}.
+    P₋ = e^{i(γ₋ − ∫E₋)}·S, T₋ = −e^{i(γ₊ − ∫E₊)}·I and, since (S*, −I*) solves the
+    upper level's system (F₊ = −F*), P₊ = e^{i(γ₊ − ∫E₊)}·S* and T₊ = e^{i(γ₋ − ∫E₋)}·I*.
+    ``dyn_phase_minus`` is the dynamical phase −∫₀ᵗ E₋ dτ, so P₋ = e^{i(γ₋ + dyn)}·A·e^{iρ}.
     """
 
     P_minus: complex
     T_minus: complex
-    P_plus: complex | None
-    T_plus: complex | None
+    P_plus: complex
+    T_plus: complex
     rho: float
     A: float
     gamma_minus: float
@@ -109,6 +108,7 @@ class Trajectory:
 
     Immutable; evaluation is thread-safe. Off the nodes ``ts``, a partial step
     from the node at or left of t gives the value, so at a node it is exact.
+    A time outside [0, ts[-1]], NaN included, raises ValueError.
     ρ(t) is the continuous phase of S unwrapped from ρ(0) = 0 (the branch that
     vanishes in the adiabatic limit). ``stats`` describes the run only.
     """
@@ -121,7 +121,10 @@ class Trajectory:
 
     def _from_node(self, t):
         t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 1)
+        inside = (0 <= t) & (t <= self.ts[-1])  # False for NaN
+        if not np.all(inside):
+            raise ValueError(f"t = {t[~inside].flat[0]} is outside the span [0, {self.ts[-1]}]")
+        k = np.searchsorted(self.ts, t, side="right") - 1
         return k, t - self.ts[k], gauss_nodes(self.ts[k], t - self.ts[k])
 
     def amplitudes(self, t):
@@ -206,22 +209,17 @@ def evolve(kernel: CouplingKernel, t_end: float, tol: float = 1e-10) -> Trajecto
 
 
 def assemble(traj: Trajectory, path, t: float) -> AmplitudeResult:
-    """Assemble P₋, T₋ (and, for precessing paths, P₊, T₊) at time t."""
+    """P±, T±, ρ and A at time t, from (S, I) and the phases alone (see
+    AmplitudeResult). ``path`` is unused; it stays for positional callers."""
     S, I = traj.amplitudes(t)
     g_minus, g_plus, int_E_minus, int_E_plus = traj.phases(t)
     S, I = complex(S), complex(I)
-    P_minus = np.exp(1j * (g_minus - int_E_minus)) * S
-    T_minus = -np.exp(1j * (g_plus - int_E_plus)) * I
-    if path.kind == "precessing":
-        P_plus = np.exp(1j * (g_plus - int_E_plus)) * np.conj(S)
-        T_plus = T_minus
-    else:
-        P_plus = T_plus = None
+    lower, upper = np.exp(1j * (g_minus - int_E_minus)), np.exp(1j * (g_plus - int_E_plus))
     return AmplitudeResult(
-        P_minus=complex(P_minus),
-        T_minus=complex(T_minus),
-        P_plus=None if P_plus is None else complex(P_plus),
-        T_plus=None if T_plus is None else complex(T_plus),
+        P_minus=complex(lower * S),
+        T_minus=complex(-upper * I),
+        P_plus=complex(upper * np.conj(S)),
+        T_plus=complex(lower * np.conj(I)),
         rho=float(traj.rho(t)),
         A=abs(S),
         gamma_minus=float(g_minus),

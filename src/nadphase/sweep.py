@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .rotating import phase_branch
 
@@ -66,19 +66,16 @@ class SweepConfig:
 
 @dataclass(frozen=True, eq=False)
 class PhaseCurve:
-    """Sampled ρ(x) (and ε(x)) curves over a frequency sweep.
-
-    ``labels`` records which curves are present: A = exact sweep,
-    B = analytic first-iteration approximation, C = comparison curve with the
-    alternative small-x coefficients (1/2, 1).
+    """ε(x) and the three ρ(x) curves of a frequency sweep on one x grid:
+    A = exact sweep, B = analytic first-iteration approximation, C = comparison
+    curve with the alternative small-x coefficients (1/2, 1).
     """
 
     xs: np.ndarray
     eps: np.ndarray
     rho_exact: np.ndarray
-    rho_first_iter: np.ndarray | None = None
-    rho_berry: np.ndarray | None = None
-    labels: tuple[str, ...] = ("A",)
+    rho_first_iter: np.ndarray
+    rho_berry: np.ndarray
 
 
 def _params(x, cos_t, sqrt=math.sqrt):
@@ -145,12 +142,15 @@ def _tangent_poles(cfg: SweepConfig) -> list[float]:
     return sorted(x for x in roots if 0 < x < cfg.x_f)
 
 
-def epsilon_sweep(cfg: SweepConfig) -> PhaseCurve:
-    """Curve A: integrate dε/dx across [0, x_f] and form ρ(x) = (ε − d)τ/2.
+def figure1_dataset(cfg: SweepConfig | None = None) -> PhaseCurve:
+    """Curves A, B and C over [0, x_f], by default at θ = 60°, x_f = 0.3, s = 1.
 
-    Grid points inside the pole margins take the oracle (epsilon_unwrap)
-    value; everywhere else the adaptive ODE solution is used.
+    A integrates dε/dx across [0, x_f] into ρ(x) = (ε − d)τ/2, taking the oracle
+    (epsilon_unwrap) inside the pole margins. B and C evaluate at ωt = x·τ: τ = 2πs/x_f
+    is pinned while the frequency varies, so all three curves share one axis.
     """
+    if cfg is None:
+        cfg = SweepConfig(theta=math.radians(60.0), x_f=0.3, s=1.0)
     tau = cfg.tau
     xs = np.linspace(0.0, cfg.x_f, cfg.grid)
     eps = np.full(cfg.grid, np.nan)
@@ -183,8 +183,9 @@ def epsilon_sweep(cfg: SweepConfig) -> PhaseCurve:
         eps[gaps] = epsilon_unwrap(cfg, xs[gaps])
 
     d, _, _ = dimensionless_params(xs, cfg.theta)
-    rho = (eps - d) * tau / 2
-    return PhaseCurve(xs=xs, eps=eps, rho_exact=rho, labels=("A",))
+    return PhaseCurve(xs=xs, eps=eps, rho_exact=(eps - d) * tau / 2,
+                      rho_first_iter=rho_first_iteration(xs, cfg.theta, xs * tau),
+                      rho_berry=rho_berry_comparison(xs, cfg.theta, xs * tau))
 
 
 def rho_first_iteration(x, theta, omega_t):
@@ -204,43 +205,15 @@ def rho_berry_comparison(x, theta, omega_t):
                       + BERRY_COMPARISON_C2 * x**2 * s2 * math.cos(theta))
 
 
-def first_iteration_epsilon(cfg: SweepConfig, xs, include_oscillatory_term: bool = False):
-    """First iteration of the sweep ODE: ε₁(x) = 1 + ∫₀ˣ g·(de/dx′) dx′.
-
-    With ``include_oscillatory_term`` the rapidly oscillating contribution
-    (x_f/(2πs))·sin(2πs·e/x_f)·dg/dx′ is kept in the integrand; it shifts ε₁
-    only negligibly for x ≪ 1, which is the point of exposing the flag.
+def first_iteration_epsilon(cfg: SweepConfig, xs):
+    """First iteration of the sweep ODE, ε₁(x) = 1 + ∫₀ˣ g·(de/dx′) dx′, in closed form:
+    with c = cosθ, s = |sinθ| and u = x′ − c the integrand is −c + s²u/(u² + s²) + cs²/(u² + s²),
+    so ε₁ = 1 − cx + s²·ln e(x) + cs·[atan2(x − c, s) + atan2(c, s)], a function of c alone.
     """
     xs = np.asarray(xs, dtype=float)
-    fine = np.linspace(0.0, float(xs.max()), 8192)
-    _, e, g, dedx, dgdx = _params(fine, math.cos(cfg.theta), np.sqrt)
-    integrand = g * dedx
-    if include_oscillatory_term:
-        integrand = integrand + (cfg.x_f / (2 * math.pi * cfg.s)) * np.sin(
-            2 * math.pi * cfg.s * e / cfg.x_f) * dgdx
-    eps1 = 1.0 + cumulative_simpson(integrand, x=fine, initial=0.0)
-    return np.interp(xs, fine, eps1)
-
-
-def figure1_dataset(cfg: SweepConfig | None = None) -> PhaseCurve:
-    """Aligned samples of curves A, B, C over [0, x_f].
-
-    Defaults to the reference configuration θ = 60°, x_f = 0.3, s = 1.
-    Curve B (and C) evaluate at ωt = x·τ: the evaluation time is pinned to
-    τ = 2πs/x_f while the frequency varies, so all three curves share one axis.
-    """
-    if cfg is None:
-        cfg = SweepConfig(theta=math.radians(60.0), x_f=0.3, s=1.0)
-    curve = epsilon_sweep(cfg)
-    omega_t = curve.xs * cfg.tau
-    return PhaseCurve(
-        xs=curve.xs,
-        eps=curve.eps,
-        rho_exact=curve.rho_exact,
-        rho_first_iter=rho_first_iteration(curve.xs, cfg.theta, omega_t),
-        rho_berry=rho_berry_comparison(curve.xs, cfg.theta, omega_t),
-        labels=("A", "B", "C"),
-    )
+    c, s = math.cos(cfg.theta), abs(math.sin(cfg.theta))
+    e = _params(xs, c, np.sqrt)[1]
+    return 1 - c * xs + s**2 * np.log(e) + c * s * (np.arctan2(xs - c, s) + np.arctan2(c, s))
 
 
 FIGURE1_HEADER = ["x", "rho_exact", "rho_first_iter", "rho_berry", "epsilon"]
@@ -248,8 +221,6 @@ FIGURE1_HEADER = ["x", "rho_exact", "rho_first_iter", "rho_berry", "epsilon"]
 
 def figure1_table(curve: PhaseCurve) -> np.ndarray:
     """Figure-1 CSV rows (columns per FIGURE1_HEADER), one row per grid point."""
-    if curve.rho_first_iter is None or curve.rho_berry is None:
-        raise ValueError("curve must carry all three labels; use figure1_dataset")
     return np.column_stack([
         curve.xs, curve.rho_exact, curve.rho_first_iter, curve.rho_berry, curve.eps,
     ])

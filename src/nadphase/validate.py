@@ -84,7 +84,7 @@ def check_endpoint_values(tol: float) -> list[dict]:
     S, I = traj.amplitudes(tau)
     result = engine.assemble(traj, path, tau)
     cfg = sweep.SweepConfig(theta=theta, x_f=0.3, s=1.0, tol=tol)
-    eps_end = sweep.epsilon_sweep(cfg).eps[-1]
+    eps_end = sweep.figure1_dataset(cfg).eps[-1]
     computed = {
         "re_s": float(np.real(S)),
         "im_s": float(np.imag(S)),
@@ -160,7 +160,7 @@ def check_adiabatic_limit(tol: float) -> list[dict]:
     """Small-x scaling of rho on a sweep whose fit window ends at x_f = 0.05."""
     theta = math.radians(60.0)
     cfg = sweep.SweepConfig(theta=theta, x_f=0.05, s=1.0, tol=tol)
-    curve = sweep.epsilon_sweep(cfg)
+    curve = sweep.figure1_dataset(cfg)
     mask = curve.xs >= 0.01 - 1e-12
     xs = curve.xs[mask]
     rho = curve.rho_exact[mask]
@@ -209,7 +209,7 @@ def check_sweep_vs_unwrap(tol: float) -> list[dict]:
     err = 0.0
     for s in (1.0, 3.0):
         cfg = sweep.SweepConfig(theta=math.radians(60.0), x_f=0.3, s=s, tol=tol)
-        curve = sweep.epsilon_sweep(cfg)
+        curve = sweep.figure1_dataset(cfg)
         err = max(err, float(np.max(np.abs(curve.eps - sweep.epsilon_unwrap(cfg, curve.xs)))))
     return [_check("sweep_vs_unwrap", err, 1e-6)]
 
@@ -283,7 +283,7 @@ def check_rho_cross_module(tol: float) -> list[dict]:
     agree at the fixed evaluation time of the reference sweep."""
     theta = math.radians(60.0)
     cfg = sweep.SweepConfig(theta=theta, x_f=0.3, s=1.0, tol=tol)
-    curve = sweep.epsilon_sweep(cfg)
+    curve = sweep.figure1_dataset(cfg)
     err = 0.0
     for x in (0.1, 0.2, 0.3):
         idx = int(np.argmin(np.abs(curve.xs - x)))

@@ -100,7 +100,7 @@ def test_criterion_3_endpoint_values():
     S, _ = traj.amplitudes(TAU_REF)
     result = engine.assemble(traj, path, TAU_REF)
     cfg = sweep.SweepConfig(theta=THETA60, x_f=0.3, s=1.0)
-    eps_end = float(sweep.epsilon_sweep(cfg).eps[-1])
+    eps_end = float(sweep.figure1_dataset(cfg).eps[-1])
     checks = {
         "Re S": (float(np.real(S)), 0.91595, 1e-4),
         "Im S": (float(np.imag(S)), 0.39984, 1e-4),
@@ -185,7 +185,7 @@ def test_criterion_6_series_oracle_agreement():
 
 def test_criterion_7_adiabatic_limit():
     cfg = sweep.SweepConfig(theta=THETA60, x_f=0.05, s=1.0)
-    curve = sweep.epsilon_sweep(cfg)
+    curve = sweep.figure1_dataset(cfg)
     mask = curve.xs >= 0.01 - 1e-12
     xs, rho = curve.xs[mask], curve.rho_exact[mask]
     exponent = float(np.polyfit(np.log(xs), np.log(rho), 1)[0])

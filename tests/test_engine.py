@@ -89,6 +89,22 @@ class TestEvolve:
         assert traj.phases(0.0) == (0.0, 0.0, 0.0, 0.0)
         assert engine.assemble(traj, path, 0.0).P_minus == 1.0
 
+    @pytest.mark.parametrize("path", [
+        PrecessingPath.dimensionless(0.3, math.radians(40.0)),
+        SampledPath(np.linspace(0.0, 4.0, 41), np.full(41, THETA60), np.linspace(0.0, 1.2, 41),
+                    np.ones(41)),
+    ], ids=["precessing", "sampled"])
+    def test_readouts_reject_times_outside_the_run(self, path):
+        traj = engine.evolve(make_kernel(path), 2.0)
+        readouts = [traj.amplitudes, traj.phases, traj.rho, traj.unitarity_defect,
+                    lambda t: engine.assemble(traj, path, t)]
+        for t in (-1.0, -1e-300, np.nextafter(2.0, 3.0), 10.0, 500.0, math.nan, [0.0, 1.0, 2.5]):
+            for readout in readouts:
+                with pytest.raises(ValueError, match="outside the span"):
+                    readout(t)
+        for readout in readouts:  # both ends are in the span
+            readout(0.0), readout(2.0)
+
     def test_rejects_end_time_past_sampled_path(self):
         ts = np.linspace(0.0, 4.0, 81)
         path = SampledPath(ts, np.full_like(ts, THETA60), 0.3 * ts, np.ones_like(ts))
@@ -153,13 +169,23 @@ class TestAssemble:
                                                 abs=1e-9)
         assert res.dyn_phase_minus == pytest.approx(0.5 * t, abs=1e-9)
 
-    def test_sampled_has_no_plus_amplitudes(self):
-        ts = np.linspace(0.0, 2.0, 201)
-        path = SampledPath(ts, np.pi / 2 + 0.05 * np.sin(ts), ts, np.ones_like(ts))
-        traj = engine.evolve(make_kernel(path), 2.0)
-        res = engine.assemble(traj, path, 2.0)
-        assert res.P_plus is None and res.T_plus is None
-        assert abs(abs(res.P_minus) ** 2 + abs(res.T_minus) ** 2 - 1) <= 1e-9
+    def test_all_four_amplitudes_match_the_exact_propagator(self, reference_run):
+        path, traj = reference_run
+        for t in np.linspace(0.0, TAU_REF, 9):
+            res = engine.assemble(traj, path, t)
+            np.testing.assert_allclose([res.P_minus, res.P_plus, res.T_minus, res.T_plus],
+                                       nmr.exact_amplitudes(0.3, THETA60, t), rtol=0, atol=1e-8)
+
+    def test_sampled_amplitudes_match_a_lab_frame_integrator(self):
+        # both columns, v₋(0) and v₊(0), on a path where θ, φ and R all vary;
+        # T₊ taken with the opposite sign misses by order 1 here
+        path = varying_path(20.0, 401, 0.3, 0.5, 0.3, 0.5, 0.1, 0.3)
+        traj = engine.evolve(make_kernel(path), path.duration, tol=1e-12)
+        ts = np.array([0.0, 3.7, 10.0, 16.05, 20.0])
+        for t, ref in zip(ts, np.transpose(lab_frame_amplitudes(path, ts))):
+            res = engine.assemble(traj, path, t)
+            np.testing.assert_allclose([res.P_minus, res.P_plus, res.T_minus, res.T_plus], ref,
+                                       rtol=0, atol=1e-9)
 
 
 class TestSlicedPropagator:
@@ -310,6 +336,30 @@ def varying_path(duration, samples, theta_amp, theta_freq, phi_rate, phi_amp, R_
                        phi_rate * u + phi_amp * np.cos(1.3 * u), 0.5 + R_amp * np.sin(R_freq * u))
 
 
+def lab_frame_amplitudes(path, ts):
+    """(P₋, P₊, T₋, T₊) at ts from scipy's DOP853 on ψ̇ = −iHψ, H = R n̂(θ, φ)·σ, in
+    the lab frame: v₋(0) and v₊(0) propagated, then projected on v±(t). Tolerances
+    1e-13, steps capped at half the sample spacing as in dop853_amplitudes."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        theta, phi, R, _, _ = path.state(t)
+        off = math.sin(theta) * np.exp(1j * phi)
+        H = R * np.array([[math.cos(theta), np.conj(off)], [off, -math.cos(theta)]])
+        return (-1j * H @ y.reshape(2, 2)).ravel()
+
+    _, _, vp0, vm0 = instantaneous_eigensystem(*path.angles(0.0))
+    ref = solve_ivp(rhs, (0.0, ts[-1]), np.column_stack([vm0, vp0]).ravel(), method="DOP853",
+                    rtol=1e-13, atol=1e-13, t_eval=ts, max_step=np.min(np.diff(path.t)) / 2)
+    out = []
+    for t, y in zip(ts, ref.y.T):
+        _, _, vpt, vmt = instantaneous_eigensystem(*path.angles(t))
+        psi_minus, psi_plus = y.reshape(2, 2).T
+        out.append([np.vdot(vmt, psi_minus), np.vdot(vpt, psi_plus),
+                    np.vdot(vpt, psi_minus), np.vdot(vmt, psi_plus)])
+    return np.transpose(out)
+
+
 def dop853_amplitudes(kernel, path, ts):
     """(S, I) at ts from scipy's DOP853 on the lab-frame system, tolerances 1e-13.
 
@@ -437,6 +487,12 @@ class TestInvariants:
         assert engine.assemble(traj, path, 0.0).rho == 0.0
         # and ρ leaves 0 continuously: the branch is the one through ρ(0) = 0
         assert np.max(np.abs(np.diff(traj.rho(traj.ts)))) < math.pi / 2
+        # the columns from v₋(0) and v₊(0) stay unit vectors and orthogonal
+        res = engine.assemble(traj, path, path.duration)
+        P_m, P_p, T_m, T_p = res.P_minus, res.P_plus, res.T_minus, res.T_plus
+        defects = [abs(P_m) ** 2 + abs(T_m) ** 2 - 1, abs(P_p) ** 2 + abs(T_p) ** 2 - 1]
+        assert np.max(np.abs(defects)) <= 1e-11
+        assert abs(np.conj(P_m) * T_p + np.conj(T_m) * P_p) <= 1e-11
 
 
 class TestStepDoubling:

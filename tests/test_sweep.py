@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from nadphase.sweep import (
@@ -10,7 +11,6 @@ from nadphase.sweep import (
     SweepConfig,
     _tangent_poles,
     dimensionless_params,
-    epsilon_sweep,
     epsilon_unwrap,
     figure1_dataset,
     figure1_table,
@@ -66,35 +66,35 @@ class TestEpsilonUnwrap:
 
 class TestEpsilonSweep:
     def test_curve_endpoints(self):
-        curve = epsilon_sweep(FIG1)
+        curve = figure1_dataset(FIG1)
         assert curve.eps[0] == pytest.approx(1.0, abs=1e-12)
         assert curve.rho_exact[0] == pytest.approx(0.0, abs=1e-12)
         assert abs(curve.eps[-1] - EPS_REF) <= 1e-8
         assert abs(curve.rho_exact[-1] - RHO_REF) <= 1e-7
 
     def test_matches_unwrap_oracle(self):
-        curve = epsilon_sweep(FIG1)
+        curve = figure1_dataset(FIG1)
         assert np.max(np.abs(curve.eps - epsilon_unwrap(FIG1, curve.xs))) <= 1e-6
 
     def test_matches_unwrap_across_tangent_pole(self):
         cfg = SweepConfig(theta=THETA60, x_f=0.3, s=3.0)
-        curve = epsilon_sweep(cfg)
+        curve = figure1_dataset(cfg)
         assert np.max(np.abs(curve.eps - epsilon_unwrap(cfg, curve.xs))) <= 1e-6
 
     def test_more_poles_than_grid_points(self):
         # most segments between poles hold no grid point and need no ODE run
         cfg = SweepConfig(theta=math.radians(30.0), x_f=0.9, s=60.0, grid=8)
         assert len(_tangent_poles(cfg)) > cfg.grid
-        curve = epsilon_sweep(cfg)
+        curve = figure1_dataset(cfg)
         assert np.max(np.abs(curve.eps - epsilon_unwrap(cfg, curve.xs))) <= 1e-6
 
     def test_epsilon_envelope(self):
-        curve = epsilon_sweep(FIG1)
+        curve = figure1_dataset(FIG1)
         _, e, g = dimensionless_params(curve.xs, THETA60)
         assert np.all(np.abs(curve.eps - e) <= (1 - g) * e + 1e-12)
 
     def test_branch_sanity(self):
-        curve = epsilon_sweep(FIG1)
+        curve = figure1_dataset(FIG1)
         half = curve.eps * FIG1.tau / 2
         assert np.max(np.abs(np.diff(half))) < math.pi / 2
 
@@ -197,15 +197,21 @@ class TestFirstIterationEpsilon:
         rho_b = rho_first_iteration(xs, THETA60, xs * FIG1.tau)
         assert np.max(np.abs((eps1 - d) * FIG1.tau / 2 - rho_b)) <= 1e-3
 
-    def test_oscillatory_term_is_negligible(self):
-        xs = np.linspace(0.0, 0.3, 61)
-        plain = first_iteration_epsilon(FIG1, xs)
-        with_osc = first_iteration_epsilon(FIG1, xs, include_oscillatory_term=True)
-        shift = np.max(np.abs(with_osc - plain))
-        assert 0 < shift <= 5e-3
-        # negligible against the non-adiabatic scale eps - d
-        d, _, _ = dimensionless_params(0.3, THETA60)
-        assert shift <= 0.15 * (EPS_REF - d)
+    @pytest.mark.parametrize("theta_deg", [0.0, 10.0, 60.0, 90.0, 120.0, 170.0, 180.0, 200.0,
+                                           300.0, -60.0, 420.0])
+    def test_matches_quadrature(self, theta_deg):
+        # quad of g·de/dx; the closed form takes s = |sinθ|, so θ > π needs no special case
+        theta = math.radians(theta_deg)
+        xs = np.linspace(0.0, 0.9, 19)
+        cos_t = math.cos(theta)
+
+        def integrand(x):
+            d, e, _ = dimensionless_params(x, theta)
+            return d / e * (x - cos_t) / e
+
+        ref = [1 + quad(integrand, 0.0, x, epsabs=1e-14, epsrel=1e-14)[0] for x in xs]
+        eps1 = first_iteration_epsilon(SweepConfig(theta=theta, x_f=0.9), xs)
+        assert np.max(np.abs(eps1 - ref)) <= 1e-12
 
 
 class TestFigure1Dataset:
@@ -213,7 +219,6 @@ class TestFigure1Dataset:
         curve = figure1_dataset(FIG1)
         table = figure1_table(curve)
         assert table.shape == (FIG1.grid, 5)
-        assert curve.labels == ("A", "B", "C")
 
     def test_curve_ordering(self):
         curve = figure1_dataset(FIG1)
@@ -225,11 +230,6 @@ class TestFigure1Dataset:
         curve = figure1_dataset()
         assert curve.xs[-1] == pytest.approx(0.3)
         assert len(curve.xs) == 512
-
-    def test_incomplete_curve_rejected(self):
-        curve = epsilon_sweep(FIG1)
-        with pytest.raises(ValueError):
-            figure1_table(curve)
 
     def test_rho_cross_check_against_unwrapped_exact_phase(self):
         from nadphase.rotating import exact_rho
