@@ -88,18 +88,22 @@ def _magnus_steps(F, h, w):
 
 
 def _product(da, b, ea, c):
-    """The products u·v of SU(2) elements u = (da, b) and v = (ea, c), as a pair."""
-    return da + ea + da * ea - b * np.conj(c), b + c + da * c + b * np.conj(ea)
+    """The products u·v of SU(2) elements u = (da, b), v = (ea, c), of arrays or numbers."""
+    return da + ea + da * ea - b * c.conjugate(), b + c + da * c + b * ea.conjugate()
 
 
 def _prefix_products(da, b):
-    """Prefix products u_k ⋯ u_0 of 2^m SU(2) elements u = (da, b) by a log-depth
-    scan: multiply neighbours in pairs, scan the pairs, extend each by one element."""
-    if len(da) > 1:
-        pa, pb = _prefix_products(*_product(da[1::2], b[1::2], da[::2], b[::2]))
-        da, b = da.copy(), b.copy()
-        da[1::2], b[1::2] = pa, pb
-        da[2::2], b[2::2] = _product(da[2::2], b[2::2], pa[:-1], pb[:-1])
+    """Prefix products u_k ⋯ u_0 of SU(2) elements u = (da, b): up to 32 in turn as Python complex
+    numbers, more by a log-depth scan (pair neighbours, scan the pairs, extend each by one)."""
+    if len(da) <= 32:
+        pa, pb = da.tolist(), b.tolist()
+        for k in range(1, len(pa)):
+            pa[k], pb[k] = _product(pa[k], pb[k], pa[k - 1], pb[k - 1])
+        return np.array(pa, dtype=complex), np.array(pb, dtype=complex)
+    pa, pb = _prefix_products(*_product(da[1::2], b[1::2], da[:-1:2], b[:-1:2]))
+    da, b, m = da.copy(), b.copy(), (len(da) - 1) // 2  # m elements after the first at even k
+    da[1::2], b[1::2] = pa, pb
+    da[2::2], b[2::2] = _product(da[2::2], b[2::2], pa[:m], pb[:m])
     return da, b
 
 
@@ -163,9 +167,9 @@ def evolve(kernel: CouplingKernel, t_end: float, tol: float = 1e-10) -> Trajecto
     the frame turning at w, the mean δ over the first level's Gauss nodes. n doubles
     from 256 until the error estimate of the 2n-step solution ψ, max|ψ₂ₙ − ψₙ|/15 over
     common nodes, is at most ``tol`` and no step turns by more than π/2, which keeps
-    ρ unwrapped over the nodes continuous. Raises StepFailureError, naming a time, on
-    a kernel value that is not finite or when MAX_STEPS steps do not get there; each
-    kernel member is sampled at every level's Gauss nodes. t_end = 0 gives one node."""
+    ρ unwrapped over the nodes continuous. Raises StepFailureError, naming a time, on a
+    kernel value that is not finite or when MAX_STEPS steps do not get there. A level calls
+    each kernel member once, on the read-only array of its Gauss nodes; t_end = 0 is one node."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not 0 <= t_end < math.inf:
@@ -181,6 +185,7 @@ def evolve(kernel: CouplingKernel, t_end: float, tol: float = 1e-10) -> Trajecto
     while True:
         ts = np.linspace(0.0, t_end, n + 1)
         nodes = gauss_nodes(ts[:-1], t_end / n)
+        nodes.flags.writeable = False  # lets a kernel share one path evaluation over the level
         F = np.broadcast_to(np.asarray(kernel.F(nodes), dtype=complex), nodes.shape)
         rates = _phase_rates(kernel, nodes)
         bad = ~(np.isfinite(F) & np.all(np.isfinite(rates), axis=0))
@@ -220,7 +225,7 @@ def assemble(traj: Trajectory, path, t: float) -> AmplitudeResult:
         T_minus=complex(-upper * I),
         P_plus=complex(upper * np.conj(S)),
         T_plus=complex(lower * np.conj(I)),
-        rho=float(traj.rho(t)),
+        rho=float(traj._unwrap(t, S)),
         A=abs(S),
         gamma_minus=float(g_minus),
         dyn_phase_minus=float(-int_E_minus),

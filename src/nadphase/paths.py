@@ -179,8 +179,8 @@ def make_kernel(path) -> CouplingKernel:
 
     Members take a time or an array of times. On a precessing path Γ₋, δ and
     γ̇± are constant, so F(t) = Γ₋e^{iδt} exactly. Sampled paths take ∫δ from
-    ``SampledPath.integral``, Gauss-Legendre pieces of the sample intervals; a
-    member makes one path evaluation, F one more of ∫δ.
+    ``SampledPath.integral``; its members, called on one read-only array that owns
+    its data (as ``engine.evolve`` calls them), share one path evaluation.
     """
     if path.kind == "precessing":
         state = path.state(0.0)

@@ -7,9 +7,11 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+import weakref
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import PPoly
+from scipy.linalg import solve_banded
 
 from .paths import CouplingKernel, GaugeSingularityError, _berry_rates, _coupling, _detuning
 
@@ -19,6 +21,20 @@ _W = np.array([0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10
 _NODES, _WEIGHTS = np.r_[1 - _X[::-1], 1 + _X] / 2, np.r_[_W[::-1], _W] / 2
 _OTHERS = [np.delete(_NODES, i) for i in range(8)]
 _LAGRANGE = np.transpose([np.polyint(np.poly(o) / np.prod(s - o)) for s, o in zip(_NODES, _OTHERS)])
+
+
+def _not_a_knot(x, y):
+    """PPoly coefficients of the not-a-knot cubic spline of y's rows at x, in CubicSpline's
+    arithmetic: knot slopes from one banded solve (ValueError if not finite), Hermite cubics."""
+    h, d0, d1 = np.diff(x), x[2] - x[0], x[-1] - x[-3]
+    hc, slope = h[:, None], np.diff(y, axis=0) / h[:, None]
+    bands = [np.r_[0.0, d0, h[:-1]], np.r_[h[1], 2 * (h[:-1] + h[1:]), h[-2]], np.r_[h[1:], d1, 0]]
+    first = ((hc[0] + 2 * d0) * hc[1] * slope[0] + hc[0] ** 2 * slope[1]) / d0
+    inner = 3 * (hc[1:] * slope[:-1] + hc[:-1] * slope[1:])
+    last = (hc[-1] ** 2 * slope[-2] + (2 * d1 + hc[-1]) * hc[-2] * slope[-1]) / d1
+    s = solve_banded((1, 1), bands, np.vstack([first, inner, last]))
+    t = (s[:-1] + s[1:] - 2 * slope) / hc
+    return np.stack([t / hc, (slope - s[:-1]) / hc - t, s[:-1], y[:-1]])
 
 
 class SampledPath:
@@ -52,12 +68,11 @@ class SampledPath:
             raise GaugeSingularityError("sampled paths require theta strictly in (0, pi)")
         self.t = t - t[0]
         self.duration = float(self.t[-1])
-        # one piecewise cubic over the columns (θ, φ, R, θ̇, φ̇): the derivative's
-        # quadratic coefficients are padded with a zero cubic term
-        spline = CubicSpline(self.t, columns)
-        rates = spline.derivative().c[:, :, :2]
+        # one piecewise cubic over (θ, φ, R, θ̇, φ̇), the rates' with a zero cubic term
+        c = _not_a_knot(self.t, columns)
+        rates = c[:3, :, :2] * [[[3.0]], [[2.0]], [[1.0]]]
         rates = np.concatenate([np.zeros_like(rates[:1]), rates])
-        self._spline = PPoly(np.concatenate([spline.c, rates], axis=2), spline.x)
+        self._spline = PPoly.construct_fast(np.concatenate([c, rates], axis=2), self.t)
 
     def state(self, t):
         """(θ, φ, R, θ̇, φ̇) at a scalar time (floats) or an array of times
@@ -90,15 +105,25 @@ class SampledPath:
         c = ((f - f[:, :1]) @ _LAGRANGE.T) * h[:, None] ** np.arange(-7.0, 2.0)  # of s⁸ … s⁰
         c[:, -2] += f[:, 0]  # f − f₀ is interpolated, where the Lagrange integrals cancel less
         c[:, -1] = np.concatenate([[0.0], np.cumsum(h * (f @ _WEIGHTS))[:-1]])
-        return PPoly(c.T, x)
+        return PPoly.construct_fast(np.ascontiguousarray(c.T), x)
 
     def kernel(self) -> CouplingKernel:
-        """The coupling kernel that ``paths.make_kernel`` documents."""
+        """The coupling kernel that ``paths.make_kernel`` documents; its members share ``state``."""
         phase = self.integral(_detuning)
+        shared = {}  # 0: (weak reference to read-only times, their state), replaced whole
+
+        def state(t):
+            ref, value = shared.get(0, (None, None))
+            if ref is None or ref() is not t:
+                value = self.state(t)
+                if isinstance(t, np.ndarray) and not t.flags.writeable and t.base is None:
+                    shared[0] = (weakref.ref(t, lambda _: shared.clear()), value)
+            return value
+
         return CouplingKernel(
-            F=lambda t: _coupling(self.state(t)) * np.exp(1j * phase(t)),
-            delta=lambda t: _detuning(self.state(t)),
-            gamma_rates=lambda t: _berry_rates(self.state(t)),
+            F=lambda t: _coupling(state(t)) * np.exp(1j * phase(t)),
+            delta=lambda t: _detuning(state(t)),
+            gamma_rates=lambda t: _berry_rates(state(t)),
             t_max=self.duration,
         )
 

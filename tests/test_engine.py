@@ -176,6 +176,20 @@ class TestAssemble:
             np.testing.assert_allclose([res.P_minus, res.P_plus, res.T_minus, res.T_plus],
                                        nmr.exact_amplitudes(0.3, THETA60, t), rtol=0, atol=1e-8)
 
+    def test_one_readout_takes_the_partial_step_once(self, reference_run):
+        # through a wrapped F: one assemble, one F call; its ρ is traj.rho's, bit for bit
+        path, traj = reference_run
+        kernel = make_kernel(path)
+        calls = []
+        counted = CouplingKernel(F=lambda t: calls.append(t) or kernel.F(t), delta=kernel.delta,
+                                 gamma_rates=kernel.gamma_rates)
+        traj = engine.evolve(counted, TAU_REF)
+        for t in (0.0, 0.37 * TAU_REF, TAU_REF):
+            calls.clear()
+            res = engine.assemble(traj, path, t)
+            assert len(calls) == 1
+            assert res.rho == traj.rho(t)
+
     def test_sampled_amplitudes_match_a_lab_frame_integrator(self):
         # both columns, v₋(0) and v₊(0), on a path where θ, φ and R all vary;
         # T₊ taken with the opposite sign misses by order 1 here
@@ -309,11 +323,12 @@ def fixed_step(kernel, t_end, n, w):
     return ts[1:], 1.0 + np.conj(da), b
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 512])
+@pytest.mark.parametrize("n", [*range(1, 65), *(2**m for m in range(7, 13))])
 def test_prefix_products_match_a_sequential_product(n):
     # random SU(2) steps turning by up to 0.05 rad, as a converged run's steps do,
     # multiplied one at a time from the left in extended precision as deviations
-    # D from 1: (1 + E)(1 + D) = 1 + E + D + ED
+    # D from 1: (1 + E)(1 + D) = 1 + E + D + ED; lengths on both sides of the
+    # 32 elements where the scan hands over to a product in turn, odd ones included
     rng = np.random.default_rng(n)
     r = rng.uniform(0.0, 0.05, n)
     axis = rng.normal(size=(3, n))
@@ -326,6 +341,7 @@ def test_prefix_products_match_a_sequential_product(n):
         E = np.array([[da[k], b[k]], [-np.conj(b[k]), np.conj(da[k])]], dtype=np.clongdouble)
         D = E + D + E @ D
         assert abs(prefix_da[k] - D[0, 0]) <= 1e-15 and abs(prefix_b[k] - D[0, 1]) <= 1e-15
+    assert np.max(engine._defect(1.0 + prefix_da, prefix_b)) <= 1e-14
 
 
 def varying_path(duration, samples, theta_amp, theta_freq, phi_rate, phi_amp, R_amp, R_freq,

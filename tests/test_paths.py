@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from scipy.interpolate import CubicSpline
 
 from nadphase import engine
 from nadphase.paths import (
+    CouplingKernel,
     GaugeSingularityError,
     PrecessingPath,
     SampledPath,
@@ -349,6 +353,123 @@ def test_sampled_time_shift_invariance(t0):
             path.duration)
         ends.append(complex(S))
     assert abs(ends[0] - ends[1]) <= 1e-9
+
+
+class TestSharedEvaluation:
+    """A sampled kernel's members share one path evaluation per level of ``evolve``."""
+
+    MEMBERS = ("F", "delta", "gamma_rates")
+
+    def test_one_state_call_per_level(self):
+        path = SampledPath(*varied_samples(n=61))
+        calls = []
+        state = path.state
+        path.state = lambda t: calls.append(t) or state(t)  # instance patch, seen by the kernel
+        traj = engine.evolve(make_kernel(path), path.duration)
+        assert traj.stats["doublings"] >= 1
+        assert len(calls) == traj.stats["doublings"] + 2  # ∫δ, then one per level
+
+    def test_sharing_leaves_the_trajectory_bit_identical(self):
+        path = SampledPath(*varied_samples(n=61))
+        kernel = make_kernel(path)
+        # np.array(t) is a writable copy, which the members never share
+        fresh = CouplingKernel(**{name: (lambda f: lambda t: f(np.array(t)))(getattr(kernel, name))
+                                  for name in self.MEMBERS}, t_max=kernel.t_max)
+        shared, unshared = (engine.evolve(k, path.duration) for k in (kernel, fresh))
+        np.testing.assert_array_equal(engine.trajectory_table(shared),
+                                      engine.trajectory_table(unshared))
+        assert shared.stats == unshared.stats
+
+    def test_read_only_arrays_are_shared_while_they_live(self):
+        path = SampledPath(*varied_samples(n=61))
+        kernel = make_kernel(path)
+        calls = []  # a weak reference to each evaluation's θ
+        state = path.state
+
+        def counted(t):
+            value = state(t)
+            calls.append(weakref.ref(value[0]) if isinstance(t, np.ndarray) else None)
+            return value
+
+        path.state = counted
+        nodes = np.linspace(0.0, path.duration, 40).copy()  # a copy owns its data
+        nodes.flags.writeable = False
+        for name in self.MEMBERS:
+            getattr(kernel, name)(nodes)
+        assert len(calls) == 1
+        view = nodes[::2]  # read-only, but a view: its base could change under it
+        kernel.F(view), kernel.delta(view)
+        writable = np.linspace(0.0, path.duration, 40)
+        kernel.F(writable), kernel.delta(writable)
+        kernel.F(1.0), kernel.delta(1.0)
+        assert len(calls) == 7
+        assert calls[0]() is not None  # the shared state is held while its times live
+        del nodes, view
+        assert calls[0]() is None
+        other = np.linspace(0.0, path.duration, 40).copy()
+        other.flags.writeable = False
+        kernel.delta(other)
+        assert len(calls) == 8
+
+    def test_threads_get_what_one_thread_gets(self):
+        # four threads on two cores, switching often, run evolve on one shared kernel, each
+        # to its own end time, and read amplitudes at their own times; all as one thread gets
+        path = SampledPath(*varied_samples(n=61))
+        kernel = make_kernel(path)
+        ends = [path.duration * (0.4 + 0.2 * i) for i in range(4)]
+        trajs = [engine.evolve(kernel, t_end) for t_end in ends]
+        times = [np.random.default_rng(i).uniform(0.0, t_end, 64) for i, t_end in enumerate(ends)]
+        expected = [(engine.trajectory_table(traj), traj.amplitudes(t))
+                    for traj, t in zip(trajs, times)]
+        got = [None] * 4
+        barrier = threading.Barrier(4)
+
+        def work(i):
+            barrier.wait()
+            got[i] = ([engine.trajectory_table(engine.evolve(kernel, ends[i])) for _ in range(10)],
+                      [trajs[i].amplitudes(times[i]) for _ in range(20)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for (tables, reads), (table, (S, I)) in zip(got, expected):
+            for other in tables:
+                np.testing.assert_array_equal(other, table)
+            for S_read, I_read in reads:
+                np.testing.assert_array_equal(S_read, S)
+                np.testing.assert_array_equal(I_read, I)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spacings=st.lists(st.floats(1e-3, 10.0), min_size=3, max_size=800),
+       seed=st.integers(0, 2**32 - 1))
+def test_spline_coefficients_are_cubic_splines(spacings, seed):
+    # the path spline's (θ, φ, R) coefficients and its rates' are CubicSpline's, bit for bit
+    t = np.concatenate([[0.0], np.cumsum(spacings)])
+    rng = np.random.default_rng(seed)
+    columns = np.column_stack([rng.uniform(0.2, 2.9, len(t)), rng.normal(0.0, 5.0, len(t)),
+                               rng.uniform(0.1, 2.0, len(t))])
+    spline = SampledPath(t, *columns.T)._spline
+    oracle = CubicSpline(t, columns)
+    np.testing.assert_array_equal(spline.x, oracle.x)
+    np.testing.assert_array_equal(spline.c[:, :, :3], oracle.c)
+    np.testing.assert_array_equal(spline.c[1:, :, 3:], oracle.derivative().c[:, :, :2])
+    np.testing.assert_array_equal(spline.c[0, :, 3:], 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the spline system
+def test_spline_refuses_a_system_that_is_not_finite():
+    # sample times of order 1e300 overflow the slope system, which the banded solve refuses
+    with pytest.raises(ValueError):
+        SampledPath(np.arange(6) * 1e300, np.full(6, 1.2), np.arange(6.0), np.full(6, 0.5))
 
 
 class TestPathValidation:
