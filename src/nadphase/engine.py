@@ -62,10 +62,12 @@ def gauss_nodes(t0, h):
 
 
 def _phase_rates(kernel: CouplingKernel, nodes) -> np.ndarray:
-    """(γ̇₋, γ̇₊, −E₊, E₊, δ) at ``nodes`` on a first axis of 5, E₊ = (δ + γ̇₊ − γ̇₋)/2."""
-    (g_plus, g_minus), delta = kernel.gamma_rates(nodes), kernel.delta(nodes)
-    E_plus = 0.5 * (delta + g_plus - g_minus)
-    return np.stack(np.broadcast_arrays(g_minus, g_plus, -E_plus, E_plus, delta, nodes)[:5])
+    """(γ̇₋, γ̇₊, E₊, δ) at ``nodes`` on a first axis of 4, E₊ = (δ + γ̇₊ − γ̇₋)/2 = −E₋."""
+    rates = np.empty((4,) + np.shape(nodes))
+    rates[1], rates[0] = kernel.gamma_rates(nodes)
+    rates[3] = kernel.delta(nodes)
+    rates[2] = 0.5 * (rates[3] + rates[1] - rates[0])
+    return rates
 
 
 def _magnus_steps(F, h, w):
@@ -119,8 +121,8 @@ class Trajectory:
 
     def __init__(self, kernel, ts, psi, rates, tol: float, stats: dict):
         self._kernel, self.ts, self._psi, self.tol, self.stats = kernel, ts, psi, tol, stats
-        increments = 0.5 * np.diff(ts[:2]) * rates[:4].sum(axis=-1)  # the step; none on one node
-        self._phases = np.concatenate([np.zeros((4, 1)), np.cumsum(increments, axis=1)], axis=1)
+        increments = 0.5 * np.diff(ts[:2]) * rates[:3].sum(axis=-1)  # the step; none on one node
+        self._phases = np.concatenate([np.zeros((3, 1)), np.cumsum(increments, axis=1)], axis=1)
         self._rho_nodes = np.unwrap(np.angle(psi[0]))
 
     def _from_node(self, t):
@@ -142,8 +144,9 @@ class Trajectory:
     def phases(self, t):
         """(γ₋, γ₊, ∫E₋, ∫E₊) sampled at scalar or array times."""
         k, h, nodes = self._from_node(t)
-        rates = _phase_rates(self._kernel, nodes)[:4].sum(axis=-1)
-        return tuple((self._phases[:, k] + 0.5 * h * rates)[()])
+        rates = _phase_rates(self._kernel, nodes)[:3].sum(axis=-1)
+        g_minus, g_plus, int_E_plus = self._phases[:, k] + 0.5 * h * rates
+        return g_minus, g_plus, 0.0 - int_E_plus, int_E_plus  # 0 − keeps ∫E₋(0) = +0
 
     def rho(self, t):
         """Unwrapped non-adiabatic phase correction ρ(t) = arg S(t), ρ(0) = 0."""
@@ -191,7 +194,7 @@ def evolve(kernel: CouplingKernel, t_end: float, tol: float = 1e-10) -> Trajecto
         bad = ~(np.isfinite(F) & np.all(np.isfinite(rates), axis=0))
         if np.any(bad):
             raise StepFailureError(f"kernel value not finite at t = {nodes.flat[np.argmax(bad)]}")
-        w = float(np.mean(rates[4])) if coarse is None else w  # fixed for the run
+        w = float(np.mean(rates[3])) if coarse is None else w  # fixed for the run
         da, b, r = _magnus_steps(F, t_end / n, w)
         da, b = _prefix_products(da, b)
         psi = np.column_stack([[1.0, 0.0], np.stack([1.0 + np.conj(da), b])])
@@ -255,24 +258,26 @@ def sliced_propagator(path, t: float, n: int) -> SlicedPropagatorResult:
     Multiplies n slices U(k) ≈ 1 − iεH(t_k) with ε = t/n and t_k = kε, then
     projects onto the instantaneous eigenbasis at t and 0. The slices are
     intentionally non-unitary at O(ε²); the product converges to the engine
-    amplitudes at rate O(1/n).
+    amplitudes at rate O(1/n). Raises ValueError for t outside [0, ``path.t_max``],
+    NaN included.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 slices, got {n}")
+    if not 0 <= t <= path.t_max:
+        raise ValueError(f"t = {t} is outside the path's span [0, {path.t_max}]")
     eps = t / n
-    theta, phi, R, _, _ = path.state(eps * np.arange(1, n + 1))
+    theta, phi, R = path.state(eps * np.arange(1, n + 1))[:3]
     H = np.empty((n, 2, 2), dtype=complex)
     H[:, 0, 0] = R * np.cos(theta)
     H[:, 0, 1] = R * np.sin(theta) * np.exp(-1j * phi)
     H[:, 1, 0] = R * np.sin(theta) * np.exp(1j * phi)
     H[:, 1, 1] = -R * np.cos(theta)
-    slices = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)) - 1j * eps * H
+    # 1 − iεH written over H: no second or third array of n matrices is made
+    slices = np.subtract(np.eye(2, dtype=complex), np.multiply(1j * eps, H, out=H), out=H)
     U = _ordered_product(slices)
 
-    th_t, ph_t = path.angles(t)
-    th_0, ph_0 = path.angles(0.0)
-    _, _, vp_t, vm_t = instantaneous_eigensystem(th_t, ph_t)
-    _, _, _, vm_0 = instantaneous_eigensystem(th_0, ph_0)
+    _, _, vp_t, vm_t = instantaneous_eigensystem(*path.state(t)[:2])
+    _, _, _, vm_0 = instantaneous_eigensystem(*path.state(0.0)[:2])
     P_minus = vm_t.conj() @ U @ vm_0
     T_minus = vp_t.conj() @ U @ vm_0
     return SlicedPropagatorResult(U=U, P_minus=complex(P_minus), T_minus=complex(T_minus))

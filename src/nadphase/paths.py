@@ -12,13 +12,15 @@ and the derived coupling quantities that drive the amplitude evolution:
 Natural units with ħ = 1 throughout. The gauge fixes the first component of
 each eigenvector real and non-negative; sampled paths are restricted to
 θ ∈ (0, π) to keep that gauge smooth. Precessing paths with θ ∈ {0, π} are
-allowed and simply have Γ₋ = 0. Both path kinds expose ``state(t)`` =
-(θ, φ, R, θ̇, φ̇); a sampled path measures t from its first sample.
+allowed and simply have Γ₋ = 0. Every path has ``state(t)`` = (θ, φ, R, θ̇, φ̇)
+in the shape of t, ``integral(rate)`` = t ↦ ∫₀ᵗ rate(state) and ``t_max``, the end
+of its span [0, t_max]; a sampled path measures t from its first sample.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import InitVar, dataclass
 from typing import Callable
 
@@ -55,7 +57,7 @@ class CouplingKernel:
 
     F(t) = Γ₋(t)·exp[i∫₀ᵗ δ(τ)dτ] carries every consequence of the
     non-adiabatic motion; ``delta`` is δ, ``gamma_rates`` returns (γ̇₊, γ̇₋),
-    and ``t_max`` bounds where they are defined: a sampled path's duration.
+    and ``t_max`` bounds where they are defined: the path's ``t_max``.
     """
 
     F: Callable[[float], complex]
@@ -72,7 +74,7 @@ class PrecessingPath:
     """R(t) of constant magnitude precessing about z at fixed polar angle.
 
     θ is constant, φ(t) = ω t. ``duration`` is advisory (the path is defined
-    for all t); it defaults to one precession cycle.
+    for all t ≥ 0); it defaults to one precession cycle.
     """
 
     R: float
@@ -80,7 +82,7 @@ class PrecessingPath:
     omega: float
     duration: float | None = None
 
-    kind = "precessing"
+    t_max = math.inf
 
     def __post_init__(self):
         if not 0 < self.R < math.inf:
@@ -98,11 +100,14 @@ class PrecessingPath:
         return cls(R=0.5, theta=theta, omega=x)
 
     def state(self, t):
-        """(θ, φ, R, θ̇, φ̇) at time t."""
-        return self.theta, self.omega * t, self.R, 0.0, self.omega
+        """(θ, φ, R, θ̇, φ̇) at a scalar time or an array of times, in the shape of t."""
+        zero = 0 * t  # broadcasts the constant columns over arrays of times
+        return self.theta + zero, self.omega * t, self.R + zero, zero, self.omega + zero
 
-    def angles(self, t):
-        return self.theta, self.omega * t
+    def integral(self, rate):
+        """t ↦ ∫₀ᵗ rate(state) = rate(state(0))·t, exact: every rate of a precession is constant."""
+        value = rate(self.state(0.0))
+        return lambda t: value * t
 
 
 def instantaneous_eigensystem(theta: float, phi: float, R: float = 1.0):
@@ -159,38 +164,41 @@ def coupling_at(path, t: float) -> EigenFrame:
 
 
 def berry_phase(path, level: int, t: float) -> float:
-    """Geometric phase γ±(t) = ∫₀ᵗ γ̇±, with ``level`` ∈ {+1, −1}.
-
-    For the precessing family this is −(ωt/2)(1 ∓ cosθ) in closed form
-    (upper sign for level +1). A sampled path gives ``path.integral`` of γ̇±
-    at t: Gauss-Legendre sums on pieces of its sample intervals.
+    """Geometric phase γ±(t) = ∫₀ᵗ γ̇±, with ``level`` ∈ {+1, −1}: ``path.integral``
+    of γ̇±, −(ωt/2)(1 ∓ cosθ) on a precession (upper sign for level +1). Raises
+    ValueError for t outside [0, ``path.t_max``], NaN included.
     """
     if level not in (+1, -1):
         raise ValueError(f"level must be +1 or -1, got {level}")
-    if path.kind == "precessing":
-        half = path.theta / 2
-        sq = math.sin(half) ** 2 if level == +1 else math.cos(half) ** 2
-        return -path.omega * t * sq
+    if not 0 <= t <= path.t_max:
+        raise ValueError(f"t = {t} is outside the path's span [0, {path.t_max}]")
     return float(path.integral(lambda state: _berry_rates(state)[0 if level == +1 else 1])(t))
 
 
 def make_kernel(path) -> CouplingKernel:
-    """Build the coupling kernel F, δ, (γ̇₊, γ̇₋) for a path.
+    """Build the coupling kernel F, δ, (γ̇₊, γ̇₋) of a path from ``path.state`` and
+    F = Γ₋·exp[i·``path.integral``(δ)]: exact on a precession, where ∫δ = δt.
 
-    Members take a time or an array of times. On a precessing path Γ₋, δ and
-    γ̇± are constant, so F(t) = Γ₋e^{iδt} exactly. Sampled paths take ∫δ from
-    ``SampledPath.integral``; its members, called on one read-only array that owns
-    its data (as ``engine.evolve`` calls them), share one path evaluation.
+    Members take a time or an array of times. Called on one read-only array that
+    owns its data (as ``engine.evolve`` calls them), they share one path evaluation.
     """
-    if path.kind == "precessing":
-        state = path.state(0.0)
-        Gamma, delta0, (g_plus, g_minus) = _coupling(state), _detuning(state), _berry_rates(state)
-        return CouplingKernel(  # 0·t broadcasts the constants over arrays of times
-            F=lambda t: Gamma * np.exp(1j * delta0 * t),
-            delta=lambda t: delta0 + 0 * t,
-            gamma_rates=lambda t: (g_plus + 0 * t, g_minus + 0 * t),
-        )
-    return path.kernel()  # a SampledPath, so nadphase.sampled is loaded
+    phase = path.integral(_detuning)
+    shared = {}  # 0: (weak reference to read-only times, their state), replaced whole
+
+    def state(t):
+        ref, value = shared.get(0, (None, None))
+        if ref is None or ref() is not t:
+            value = path.state(t)
+            if isinstance(t, np.ndarray) and not t.flags.writeable and t.base is None:
+                shared[0] = (weakref.ref(t, lambda _: shared.clear()), value)
+        return value
+
+    return CouplingKernel(
+        F=lambda t: _coupling(state(t)) * np.exp(1j * phase(t)),
+        delta=lambda t: _detuning(state(t)),
+        gamma_rates=lambda t: _berry_rates(state(t)),
+        t_max=path.t_max,
+    )
 
 
 def __getattr__(name):  # the sampled-path names import nadphase.sampled, and scipy with it

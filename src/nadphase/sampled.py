@@ -7,13 +7,12 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-import weakref
 
 import numpy as np
 from scipy.interpolate import PPoly
 from scipy.linalg import solve_banded
 
-from .paths import CouplingKernel, GaugeSingularityError, _berry_rates, _coupling, _detuning
+from .paths import GaugeSingularityError
 
 # the 8-point Gauss-Legendre rule on [0, 1]; a column per node, ∫₀^σ of its Lagrange polynomial
 _X = np.array([0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363])
@@ -41,12 +40,10 @@ class SampledPath:
     """Path given as (t, θ, φ, R) samples with cubic interpolation.
 
     Time is measured from the first sample: ``self.t`` starts at 0 and every
-    method takes window-relative times in [0, ``duration``]. Derivatives θ̇, φ̇
+    method takes window-relative times in [0, ``duration``] (``t_max``). Derivatives θ̇, φ̇
     come from the interpolant. Samples must be finite, with strictly
     increasing t, R > 0, and θ strictly inside (0, π).
     """
-
-    kind = "sampled"
 
     def __init__(self, t, theta, phi, R):
         t = np.asarray(t, dtype=float)
@@ -67,7 +64,7 @@ class SampledPath:
         if np.any(theta <= 0) or np.any(theta >= math.pi):
             raise GaugeSingularityError("sampled paths require theta strictly in (0, pi)")
         self.t = t - t[0]
-        self.duration = float(self.t[-1])
+        self.duration = self.t_max = float(self.t[-1])
         # one piecewise cubic over (θ, φ, R, θ̇, φ̇), the rates' with a zero cubic term
         c = _not_a_knot(self.t, columns)
         rates = c[:3, :, :2] * [[[3.0]], [[2.0]], [[1.0]]]
@@ -92,9 +89,6 @@ class SampledPath:
                 f"theta(t={np.ravel(t)[i]}) = {theta[i]} outside (0, pi)")
         return tuple(np.moveaxis(values, -1, 0))
 
-    def angles(self, t):
-        return self.state(t)[:2]
-
     def integral(self, rate) -> PPoly:
         """∫₀ᵗ rate(state): on ⌈128/(samples − 1)⌉ equal pieces of each sample interval, the exact
         integral of rate's degree-7 interpolant at 8 Gauss-Legendre nodes; knots hold Gauss sums."""
@@ -106,26 +100,6 @@ class SampledPath:
         c[:, -2] += f[:, 0]  # f − f₀ is interpolated, where the Lagrange integrals cancel less
         c[:, -1] = np.concatenate([[0.0], np.cumsum(h * (f @ _WEIGHTS))[:-1]])
         return PPoly.construct_fast(np.ascontiguousarray(c.T), x)
-
-    def kernel(self) -> CouplingKernel:
-        """The coupling kernel that ``paths.make_kernel`` documents; its members share ``state``."""
-        phase = self.integral(_detuning)
-        shared = {}  # 0: (weak reference to read-only times, their state), replaced whole
-
-        def state(t):
-            ref, value = shared.get(0, (None, None))
-            if ref is None or ref() is not t:
-                value = self.state(t)
-                if isinstance(t, np.ndarray) and not t.flags.writeable and t.base is None:
-                    shared[0] = (weakref.ref(t, lambda _: shared.clear()), value)
-            return value
-
-        return CouplingKernel(
-            F=lambda t: _coupling(state(t)) * np.exp(1j * phase(t)),
-            delta=lambda t: _detuning(state(t)),
-            gamma_rates=lambda t: _berry_rates(state(t)),
-            t_max=self.duration,
-        )
 
 
 def load_path_csv(file) -> SampledPath:

@@ -188,21 +188,21 @@ def figure1_dataset(cfg: SweepConfig | None = None) -> PhaseCurve:
                       rho_berry=rho_berry_comparison(xs, cfg.theta, xs * tau))
 
 
-def rho_first_iteration(x, theta, omega_t):
-    """Curve B: small-x analytic correction
-    ρ₁ = ωt·(¼ x sin²θ + ⅓ x² sin²θ cosθ)."""
+def _rho_series(x, theta, omega_t, c1, c2):
+    """ρ = ωt·(c₁ x sin²θ + c₂ x² sin²θ cosθ), the form of curves B and C."""
     x = np.asarray(x, dtype=float)
     s2 = math.sin(theta) ** 2
-    return omega_t * (FIRST_ITERATION_C1 * x * s2
-                      + FIRST_ITERATION_C2 * x**2 * s2 * math.cos(theta))
+    return omega_t * (c1 * x * s2 + c2 * x**2 * s2 * math.cos(theta))
+
+
+def rho_first_iteration(x, theta, omega_t):
+    """Curve B: small-x analytic correction ρ₁ = ωt·(¼ x sin²θ + ⅓ x² sin²θ cosθ)."""
+    return _rho_series(x, theta, omega_t, FIRST_ITERATION_C1, FIRST_ITERATION_C2)
 
 
 def rho_berry_comparison(x, theta, omega_t):
     """Curve C: same functional form with the alternative coefficients ½ and 1."""
-    x = np.asarray(x, dtype=float)
-    s2 = math.sin(theta) ** 2
-    return omega_t * (BERRY_COMPARISON_C1 * x * s2
-                      + BERRY_COMPARISON_C2 * x**2 * s2 * math.cos(theta))
+    return _rho_series(x, theta, omega_t, BERRY_COMPARISON_C1, BERRY_COMPARISON_C2)
 
 
 def first_iteration_epsilon(cfg: SweepConfig, xs):

@@ -225,8 +225,7 @@ def check_coupling_finite_difference(tol: float) -> list[dict]:
         frame = coupling_at(path, t)
 
         def vecs(u):
-            th, ph = path.angles(u)
-            _, _, vp, vm = instantaneous_eigensystem(th, ph)
+            _, _, vp, vm = instantaneous_eigensystem(*path.state(u)[:2])
             return vp, vm
 
         vp_p, vm_p = vecs(t + h)

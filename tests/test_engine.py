@@ -364,12 +364,12 @@ def lab_frame_amplitudes(path, ts):
         H = R * np.array([[math.cos(theta), np.conj(off)], [off, -math.cos(theta)]])
         return (-1j * H @ y.reshape(2, 2)).ravel()
 
-    _, _, vp0, vm0 = instantaneous_eigensystem(*path.angles(0.0))
+    _, _, vp0, vm0 = instantaneous_eigensystem(*path.state(0.0)[:2])
     ref = solve_ivp(rhs, (0.0, ts[-1]), np.column_stack([vm0, vp0]).ravel(), method="DOP853",
                     rtol=1e-13, atol=1e-13, t_eval=ts, max_step=np.min(np.diff(path.t)) / 2)
     out = []
     for t, y in zip(ts, ref.y.T):
-        _, _, vpt, vmt = instantaneous_eigensystem(*path.angles(t))
+        _, _, vpt, vmt = instantaneous_eigensystem(*path.state(t)[:2])
         psi_minus, psi_plus = y.reshape(2, 2).T
         out.append([np.vdot(vmt, psi_minus), np.vdot(vpt, psi_plus),
                     np.vdot(vpt, psi_minus), np.vdot(vmt, psi_plus)])

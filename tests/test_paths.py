@@ -125,7 +125,7 @@ class TestCoupling:
 
     def _fd_frame(self, path, t, h):
         def vecs(u):
-            th, ph = path.angles(u)
+            th, ph = path.state(u)[:2]
             _, _, vp, vm = instantaneous_eigensystem(th, ph)
             return vp, vm
 
@@ -152,11 +152,11 @@ class TestCoupling:
         path = wobble_path()
         h = 1e-5
         for t in (0.5, 1.7):
-            th_p, ph_p = path.angles(t + h)
-            th_m, ph_m = path.angles(t - h)
+            th_p, ph_p = path.state(t + h)[:2]
+            th_m, ph_m = path.state(t - h)[:2]
             _, _, vp_p, vm_p = instantaneous_eigensystem(th_p, ph_p)
             _, _, vp_m, vm_m = instantaneous_eigensystem(th_m, ph_m)
-            th, ph = path.angles(t)
+            th, ph = path.state(t)[:2]
             _, _, vp, vm = instantaneous_eigensystem(th, ph)
             Gamma_minus_fd = vp.conj() @ ((vm_p - vm_m) / (2 * h))
             Gamma_plus_fd = vm.conj() @ ((vp_p - vp_m) / (2 * h))
@@ -216,7 +216,41 @@ class TestBerryPhase:
             berry_phase(PrecessingPath(R=1.0, theta=0.8, omega=0.3), 0, 1.0)
 
 
+@pytest.mark.parametrize("path", [PrecessingPath(R=0.5, theta=1.0, omega=0.6),
+                                  SampledPath(*varied_samples())], ids=["precessing", "sampled"])
+def test_times_outside_the_span_are_refused(path):
+    # the span is [0, t_max]: a sampled path's duration, every t >= 0 on a precession;
+    # past its last sample a sampled path's spline would extrapolate
+    calls = {"berry_phase+": lambda t: berry_phase(path, +1, t),
+             "berry_phase-": lambda t: berry_phase(path, -1, t),
+             "sliced_propagator": lambda t: engine.sliced_propagator(path, t, 100).P_minus}
+    assert make_kernel(path).t_max == path.t_max
+    for t in (-1.0, 1.5 * path.duration, math.nan, path.duration):
+        for name, call in calls.items():
+            if 0 <= t <= path.t_max:
+                assert np.isfinite(call(t)), (name, t)
+            else:
+                with pytest.raises(ValueError, match="outside"):
+                    call(t)
+
+
 class TestKernel:
+    @pytest.mark.parametrize("theta, omega", [(1.0, 0.6), (0.0, 0.7), (math.pi, -0.4), (1.2, 0.0)])
+    def test_precessing_kernel_is_the_closed_form(self, theta, omega):
+        # bit for bit the closed forms: F = Γ₋e^{iδ₀t}, Γ₋ = −(i/2)ω sinθ, δ₀ = 2R − ω cosθ,
+        # γ̇₊ = −ω sin²(θ/2), γ̇₋ = −ω cos²(θ/2), at scalar times and arrays of times
+        R = 0.5
+        kernel = make_kernel(PrecessingPath(R=R, theta=theta, omega=omega, duration=10.0))
+        Gamma, delta0 = -0.5j * omega * np.sin(theta), 2 * R - omega * np.cos(theta)
+        rates = (-omega * np.sin(theta / 2) ** 2, -omega * np.cos(theta / 2) ** 2)
+        times = np.linspace(0.0, 40.0, 97)
+        nodes = engine.gauss_nodes(times[:-1], times[1])  # read-only, as evolve passes them
+        nodes.flags.writeable = False
+        for t in (0.0, 3.7, 40.0, times, nodes):
+            np.testing.assert_array_equal(kernel.F(t), Gamma * np.exp(1j * delta0 * t))
+            np.testing.assert_array_equal(kernel.delta(t), delta0 + 0 * t)
+            np.testing.assert_array_equal(kernel.gamma_rates(t), [r + 0 * t for r in rates])
+
     def test_static_environment(self):
         kernel = make_kernel(PrecessingPath(R=1.0, theta=1.0, omega=0.0, duration=10.0))
         assert kernel.F(0.0) == 0 and kernel.F(3.7) == 0
@@ -309,13 +343,14 @@ class TestSampledKernelOracle:
             assert abs(kernel.F(v) - reference(v)[0] * np.exp(1j * exact)) <= 1e-10
 
     def test_array_state_matches_scalar(self, setup):
-        path = setup[0]
-        times = np.random.default_rng(22).uniform(0.0, path.duration, 50)
-        columns = path.state(times)
-        for i, v in enumerate(times):
-            assert [c[i] for c in columns] == list(path.state(v))
-        theta, phi = path.angles(times)
-        assert np.array_equal(theta, columns[0]) and np.array_equal(phi, columns[1])
+        for path in (setup[0], PrecessingPath(R=0.5, theta=1.1, omega=-0.7)):
+            times = np.random.default_rng(22).uniform(0.0, path.duration, 50)
+            columns = path.state(times)
+            for i, v in enumerate(times):
+                assert [c[i] for c in columns] == list(path.state(v))
+            grid = path.state(times.reshape(5, 10))  # in the shape of t
+            for column, c in zip(grid, columns):
+                np.testing.assert_array_equal(column, c.reshape(5, 10))
 
     def test_sliced_propagator_matches_pointwise_product(self, setup):
         path = setup[0]
@@ -355,22 +390,29 @@ def test_sampled_time_shift_invariance(t0):
     assert abs(ends[0] - ends[1]) <= 1e-9
 
 
+SHARED_PATHS = {"sampled": lambda: SampledPath(*varied_samples(n=61)),
+                "precessing": lambda: PrecessingPath(R=0.5, theta=1.0, omega=0.3)}
+
+
 class TestSharedEvaluation:
-    """A sampled kernel's members share one path evaluation per level of ``evolve``."""
+    """A kernel's members share one path evaluation per level of ``evolve``."""
 
     MEMBERS = ("F", "delta", "gamma_rates")
 
-    def test_one_state_call_per_level(self):
-        path = SampledPath(*varied_samples(n=61))
+    @pytest.mark.parametrize("kind", sorted(SHARED_PATHS))
+    def test_one_state_call_per_level(self, kind):
+        path = SHARED_PATHS[kind]()
         calls = []
         state = path.state
-        path.state = lambda t: calls.append(t) or state(t)  # instance patch, seen by the kernel
+        # an instance patch, seen by the kernel; the precession is a frozen dataclass
+        object.__setattr__(path, "state", lambda t: calls.append(t) or state(t))
         traj = engine.evolve(make_kernel(path), path.duration)
         assert traj.stats["doublings"] >= 1
         assert len(calls) == traj.stats["doublings"] + 2  # ∫δ, then one per level
 
-    def test_sharing_leaves_the_trajectory_bit_identical(self):
-        path = SampledPath(*varied_samples(n=61))
+    @pytest.mark.parametrize("kind", sorted(SHARED_PATHS))
+    def test_sharing_leaves_the_trajectory_bit_identical(self, kind):
+        path = SHARED_PATHS[kind]()
         kernel = make_kernel(path)
         # np.array(t) is a writable copy, which the members never share
         fresh = CouplingKernel(**{name: (lambda f: lambda t: f(np.array(t)))(getattr(kernel, name))
@@ -525,7 +567,7 @@ class TestPathValidation:
         f.write_text("t,theta,phi,R\n" + rows + "\n")
         path = load_path_csv(f)
         assert path.duration == pytest.approx(2.0)
-        theta, phi = path.angles(1.0)
+        theta, phi = path.state(1.0)[:2]
         assert theta == pytest.approx(1.2)
         assert phi == pytest.approx(0.4)
 
