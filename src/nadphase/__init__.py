@@ -14,7 +14,7 @@ import importlib
 _EXPORTS = {
     "engine": ("AmplitudeResult", "StepFailureError", "Trajectory", "assemble", "evolve",
                "series_persistence", "sliced_propagator"),
-    "nmr": ("closed_form_amplitudes", "direct_expectation", "exact_amplitudes", "magnetization"),
+    "nmr": ("direct_expectation", "exact_amplitudes", "magnetization"),
     "paths": ("CouplingKernel", "EigenFrame", "GaugeSingularityError", "PrecessingPath",
               "berry_phase", "coupling_at", "instantaneous_eigensystem", "make_kernel"),
     "rotating": ("DegenerateSplittingError", "RotatingFrameSolution", "exact_S", "exact_rho",

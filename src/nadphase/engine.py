@@ -25,10 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .paths import CouplingKernel, instantaneous_eigensystem
+from .paths import CouplingKernel, check_span, instantaneous_eigensystem
 
 _FIRST_STEPS = 256
 MAX_STEPS = 2**19  # bounds a run to about 1.3 s and 190 MB (README, "Engine")
+SLICE_BLOCK = 4096  # slices sliced_propagator builds and multiplies at a time
 SERIES_QUAD_TOL = 1e-12  # series_persistence refines its grid until two estimates agree to this
 
 
@@ -127,9 +128,7 @@ class Trajectory:
 
     def _from_node(self, t):
         t = np.asarray(t, dtype=float)
-        inside = (0 <= t) & (t <= self.ts[-1])  # False for NaN
-        if not np.all(inside):
-            raise ValueError(f"t = {t[~inside].flat[0]} is outside the span [0, {self.ts[-1]}]")
+        check_span(t, self.ts[-1])
         k = np.searchsorted(self.ts, t, side="right") - 1
         return k, t - self.ts[k], gauss_nodes(self.ts[k], t - self.ts[k])
 
@@ -258,23 +257,25 @@ def sliced_propagator(path, t: float, n: int) -> SlicedPropagatorResult:
     Multiplies n slices U(k) ≈ 1 − iεH(t_k) with ε = t/n and t_k = kε, then
     projects onto the instantaneous eigenbasis at t and 0. The slices are
     intentionally non-unitary at O(ε²); the product converges to the engine
-    amplitudes at rate O(1/n). Raises ValueError for t outside [0, ``path.t_max``],
+    amplitudes at rate O(1/n). They are built and multiplied SLICE_BLOCK at a
+    time, each block's product folded into the running one, so memory is
+    O(SLICE_BLOCK) for any n. Raises ValueError for t outside [0, ``path.t_max``],
     NaN included.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 slices, got {n}")
-    if not 0 <= t <= path.t_max:
-        raise ValueError(f"t = {t} is outside the path's span [0, {path.t_max}]")
+    check_span(t, path.t_max)
     eps = t / n
-    theta, phi, R = path.state(eps * np.arange(1, n + 1))[:3]
-    H = np.empty((n, 2, 2), dtype=complex)
-    H[:, 0, 0] = R * np.cos(theta)
-    H[:, 0, 1] = R * np.sin(theta) * np.exp(-1j * phi)
-    H[:, 1, 0] = R * np.sin(theta) * np.exp(1j * phi)
-    H[:, 1, 1] = -R * np.cos(theta)
-    # 1 − iεH written over H: no second or third array of n matrices is made
-    slices = np.subtract(np.eye(2, dtype=complex), np.multiply(1j * eps, H, out=H), out=H)
-    U = _ordered_product(slices)
+    U = np.eye(2, dtype=complex)
+    for first in range(1, n + 1, SLICE_BLOCK):
+        theta, phi, R = path.state(eps * np.arange(first, min(first + SLICE_BLOCK, n + 1)))[:3]
+        H = np.empty((len(theta), 2, 2), dtype=complex)
+        H[:, 0, 0] = R * np.cos(theta)
+        H[:, 0, 1] = R * np.sin(theta) * np.exp(-1j * phi)
+        H[:, 1, 0] = R * np.sin(theta) * np.exp(1j * phi)
+        H[:, 1, 1] = -R * np.cos(theta)
+        # 1 − iεH written over H: no second or third array of slices is made
+        U = _ordered_product(np.subtract(np.eye(2), np.multiply(1j * eps, H, out=H), out=H)) @ U
 
     _, _, vp_t, vm_t = instantaneous_eigensystem(*path.state(t)[:2])
     _, _, _, vm_0 = instantaneous_eigensystem(*path.state(0.0)[:2])

@@ -34,27 +34,6 @@ def _cycle_tau(x: float, n):
     return 2 * math.pi * n / x
 
 
-def closed_form_amplitudes(x: float, theta: float, t: float):
-    """(P₋, P₊, T₋, T₊) for the precessing family at time t (τ in 2R = 1 units).
-
-    P₋ = A·e^{i(Rt − (ωt/2)(1+cosθ) + ρ)} and P₊ = A·e^{−i(Rt + ... + ρ)} are
-    exact. The transition amplitudes use the fixed-phase convention
-    T₋ = T₊ = −iĈ·e^{−iωt/2} with the dimensionless magnitude Ĉ = |I(t)|;
-    the exact transition phase differs from this convention by the sign of
-    sin(eτ/2) (see exact_amplitudes), which only matters in cross terms.
-    """
-    S = exact_S(x, theta, t)
-    A = abs(S)
-    rho = exact_rho(x, theta, t)
-    e = solve_rotating_frame(x, theta).e
-    C_hat = (x * math.sin(theta) / e) * abs(math.sin(e * t / 2))
-    cos_t = math.cos(theta)
-    P_minus = A * np.exp(1j * (0.5 * t - 0.5 * x * t * (1 + cos_t) + rho))
-    P_plus = A * np.exp(1j * (-0.5 * t - 0.5 * x * t * (1 - cos_t) - rho))
-    T = -1j * C_hat * np.exp(-0.5j * x * t)
-    return complex(P_minus), complex(P_plus), complex(T), complex(T)
-
-
 def exact_amplitudes(x: float, theta: float, t: float):
     """(P₋, P₊, T₋, T₊) projected from the exact propagator, true phases.
 

@@ -145,8 +145,19 @@ def _detuning(state):
     return 2 * R - phi_dot * np.cos(theta)
 
 
+def check_span(t, t_max):
+    """Raise ValueError unless every time in t (a number or an array) lies in [0, t_max],
+    which NaN never does. Past its last sample a sampled path's spline would extrapolate."""
+    t = np.asarray(t)
+    inside = (0 <= t) & (t <= t_max)  # False for NaN
+    if not np.all(inside):
+        raise ValueError(f"t = {t[~inside].flat[0]} is outside the span [0, {t_max}]")
+
+
 def coupling_at(path, t: float) -> EigenFrame:
-    """Instantaneous eigenframe with Berry rates, coupling Γ₋, and detuning δ."""
+    """Instantaneous eigenframe with Berry rates, coupling Γ₋, and detuning δ at t in
+    [0, ``path.t_max``]; ValueError for any other t, NaN included."""
+    check_span(t, path.t_max)
     state = path.state(t)
     E_plus, E_minus, v_plus, v_minus = instantaneous_eigensystem(*state[:3])
     gamma_rate_plus, gamma_rate_minus = _berry_rates(state)
@@ -170,8 +181,7 @@ def berry_phase(path, level: int, t: float) -> float:
     """
     if level not in (+1, -1):
         raise ValueError(f"level must be +1 or -1, got {level}")
-    if not 0 <= t <= path.t_max:
-        raise ValueError(f"t = {t} is outside the path's span [0, {path.t_max}]")
+    check_span(t, path.t_max)
     return float(path.integral(lambda state: _berry_rates(state)[0 if level == +1 else 1])(t))
 
 
@@ -179,8 +189,9 @@ def make_kernel(path) -> CouplingKernel:
     """Build the coupling kernel F, δ, (γ̇₊, γ̇₋) of a path from ``path.state`` and
     F = Γ₋·exp[i·``path.integral``(δ)]: exact on a precession, where ∫δ = δt.
 
-    Members take a time or an array of times. Called on one read-only array that
-    owns its data (as ``engine.evolve`` calls them), they share one path evaluation.
+    Members take a time or an array of times in [0, ``path.t_max``], and raise ValueError
+    for any other, NaN included. Called on one read-only array that owns its data (as
+    ``engine.evolve`` calls them), they share one path evaluation.
     """
     phase = path.integral(_detuning)
     shared = {}  # 0: (weak reference to read-only times, their state), replaced whole
@@ -188,6 +199,7 @@ def make_kernel(path) -> CouplingKernel:
     def state(t):
         ref, value = shared.get(0, (None, None))
         if ref is None or ref() is not t:
+            check_span(t, path.t_max)
             value = path.state(t)
             if isinstance(t, np.ndarray) and not t.flags.writeable and t.base is None:
                 shared[0] = (weakref.ref(t, lambda _: shared.clear()), value)

@@ -12,9 +12,9 @@ factor
 
 This module is the primary analytic oracle for the evolution engine. All
 quantities are dimensionless: the level splitting sets 2R = 1, so ω = x,
-t = τ, d = δ and e = Ω₀ in these units. d, e, g are computed here through the
-physical route (detuning, coupling, Ω₀ = √(δ² + 4C²), g = cos Δθ), deliberately
-independent of the algebraic forms used by the frequency-sweep module.
+t = τ, d = δ and e = Ω₀ in these units. d = 1 − x cosθ and e = √(1 − 2x cosθ + x²)
+are the same algebraic forms the frequency-sweep module uses; only θ̄ and
+g = cos Δθ come from the rotating-frame geometry, where the sweep takes g = d/e.
 """
 
 from __future__ import annotations

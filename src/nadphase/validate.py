@@ -259,24 +259,6 @@ def check_reconstruction(tol: float) -> list[dict]:
     return [_check("reconstruction_p_minus", err, 1e-8)]
 
 
-def check_nogeo_gap(tol: float) -> list[dict]:
-    """Size of the fixed-phase transition-amplitude convention against the
-    true transition phase; bounded by twice the transition envelope."""
-    gap = 0.0
-    bound = 0.0
-    for x in GRID_X:
-        for theta_deg in GRID_THETA_DEG:
-            theta = math.radians(theta_deg)
-            for n in (1, 2, 3):
-                tau = 2 * math.pi * n / x
-                _, _, T_conv, _ = nmr.closed_form_amplitudes(x, theta, tau)
-                _, _, T_exact, _ = nmr.exact_amplitudes(x, theta, tau)
-                gap = max(gap, abs(T_conv - T_exact))
-                _, e, _ = sweep.dimensionless_params(x, theta)
-                bound = max(bound, 2 * x * math.sin(theta) / e)
-    return [_check("nogeo_transition_phase_gap", gap, float(f"{bound:.12g}"))]
-
-
 def check_rho_cross_module(tol: float) -> list[dict]:
     """rho from the sweep, from the engine, and from the unwrapped exact S all
     agree at the fixed evaluation time of the reference sweep."""
@@ -308,7 +290,6 @@ ALL_CHECKS = (
     check_sweep_vs_unwrap,
     check_coupling_finite_difference,
     check_reconstruction,
-    check_nogeo_gap,
     check_rho_cross_module,
 )
 

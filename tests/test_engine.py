@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,41 @@ class TestSlicedPropagator:
     def test_rejects_zero_slices(self):
         with pytest.raises(ValueError):
             engine.sliced_propagator(PrecessingPath.dimensionless(0.3, THETA60), 1.0, 0)
+
+    @pytest.mark.parametrize("kind", ["precessing", "sampled"])
+    @pytest.mark.parametrize("n", [1, engine.SLICE_BLOCK - 1, engine.SLICE_BLOCK,
+                                   engine.SLICE_BLOCK + 1, 3 * engine.SLICE_BLOCK + 7])
+    def test_blocks_give_the_product_of_all_slices(self, kind, n):
+        # every slice 1 − iεH(kε) built at once and multiplied in one ordered product
+        if kind == "precessing":
+            path, t = PrecessingPath.dimensionless(0.3, THETA60), TAU_REF
+        else:
+            path = varying_path(20.0, 401, 0.3, 0.5, 0.3, 0.5, 0.1, 0.3)
+            t = path.duration
+        eps = t / n
+        theta, phi, R, _, _ = path.state(eps * np.arange(1, n + 1))
+        H = R[:, None, None] * np.array([
+            [np.cos(theta), np.sin(theta) * np.exp(-1j * phi)],
+            [np.sin(theta) * np.exp(1j * phi), -np.cos(theta)]]).transpose(2, 0, 1)
+        U = engine._ordered_product(np.eye(2) - 1j * eps * H)
+        res = engine.sliced_propagator(path, t, n)
+        assert np.max(np.abs(res.U - U)) <= 1e-13
+        _, _, v_plus, v_minus = instantaneous_eigensystem(*path.state(t)[:2])
+        v0 = instantaneous_eigensystem(*path.state(0.0)[:2])[3]
+        assert abs(res.P_minus - v_minus.conj() @ U @ v0) <= 1e-13
+        assert abs(res.T_minus - v_plus.conj() @ U @ v0) <= 1e-13
+
+    def test_memory_does_not_grow_with_n(self):
+        # all 10⁵ slices at once would take 13 MiB; one block at a time takes under 1
+        path = PrecessingPath.dimensionless(0.3, THETA60)
+        engine.sliced_propagator(path, TAU_REF, 10)
+        tracemalloc.start()
+        try:
+            engine.sliced_propagator(path, TAU_REF, 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 class TestSeries:

@@ -16,17 +16,19 @@ ARG_GAP_X01 = 0.0028043023
 
 
 class TestClosedFormAmplitudes:
+    """`nmr.exact_amplitudes`: the closed-form rotating-frame propagator projected on the eigenbasis."""
+
     def test_static_limit(self):
-        P_minus, P_plus, T_minus, T_plus = nmr.closed_form_amplitudes(0.0, THETA60, 4.0)
+        P_minus, P_plus, T_minus, T_plus = nmr.exact_amplitudes(0.0, THETA60, 4.0)
         assert abs(P_minus - np.exp(0.5j * 4.0)) <= 1e-12
-        assert T_minus == 0 and T_plus == 0
+        assert abs(T_minus) <= 1e-12 and abs(T_plus) <= 1e-12
         assert abs(abs(P_plus) - 1.0) <= 1e-12
 
     def test_reference_magnitudes(self):
-        P_minus, P_plus, T_minus, T_plus = nmr.closed_form_amplitudes(0.3, THETA60, TAU_REF)
+        P_minus, P_plus, T_minus, T_plus = nmr.exact_amplitudes(0.3, THETA60, TAU_REF)
         assert abs(abs(T_minus) - 0.034145836228777627) <= 1e-9
         assert abs(abs(P_minus) - 0.99941686090851874) <= 1e-9
-        assert T_minus == T_plus
+        assert abs(T_minus - T_plus) <= 1e-12
         assert abs(abs(P_plus) - abs(P_minus)) <= 1e-12
 
     @pytest.mark.parametrize("x", [0.05, 0.2, 0.3])
@@ -34,8 +36,9 @@ class TestClosedFormAmplitudes:
     def test_unitarity(self, x, theta_deg):
         theta = math.radians(theta_deg)
         for t in (1.0, 7.5, 19.0):
-            P_minus, _, T_minus, _ = nmr.closed_form_amplitudes(x, theta, t)
-            assert abs(abs(P_minus) ** 2 + abs(T_minus) ** 2 - 1) <= 1e-9
+            P_minus, P_plus, T_minus, T_plus = nmr.exact_amplitudes(x, theta, t)
+            assert abs(abs(P_minus) ** 2 + abs(T_minus) ** 2 - 1) <= 1e-12
+            assert abs(abs(P_plus) ** 2 + abs(T_plus) ** 2 - 1) <= 1e-12
 
 
 class TestExactAmplitudes:
@@ -46,12 +49,6 @@ class TestExactAmplitudes:
                 assert abs(abs(P_minus) ** 2 + abs(T_minus) ** 2 - 1) <= 1e-12
                 assert abs(abs(P_plus) ** 2 + abs(T_plus) ** 2 - 1) <= 1e-12
                 assert abs(T_plus - T_minus) <= 1e-12
-
-    def test_magnitude_agrees_with_convention(self):
-        for t in (3.0, 9.0):
-            _, _, T_conv, _ = nmr.closed_form_amplitudes(0.3, THETA60, t)
-            _, _, T_exact, _ = nmr.exact_amplitudes(0.3, THETA60, t)
-            assert abs(abs(T_conv) - abs(T_exact)) <= 1e-9
 
 
 class TestMagnetizationExact:

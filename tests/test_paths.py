@@ -221,14 +221,18 @@ class TestBerryPhase:
 def test_times_outside_the_span_are_refused(path):
     # the span is [0, t_max]: a sampled path's duration, every t >= 0 on a precession;
     # past its last sample a sampled path's spline would extrapolate
+    kernel = make_kernel(path)
     calls = {"berry_phase+": lambda t: berry_phase(path, +1, t),
              "berry_phase-": lambda t: berry_phase(path, -1, t),
-             "sliced_propagator": lambda t: engine.sliced_propagator(path, t, 100).P_minus}
-    assert make_kernel(path).t_max == path.t_max
-    for t in (-1.0, 1.5 * path.duration, math.nan, path.duration):
+             "sliced_propagator": lambda t: engine.sliced_propagator(path, t, 100).P_minus,
+             "coupling_at": lambda t: coupling_at(path, t).delta,
+             "F": kernel.F, "delta": kernel.delta, "gamma_rates": kernel.gamma_rates,
+             "F of an array": lambda t: kernel.F(np.array([0.0, t]))}
+    assert kernel.t_max == path.t_max
+    for t in (-1.0, -1e-300, 1.5 * path.duration, math.nan, 0.0, path.duration):
         for name, call in calls.items():
             if 0 <= t <= path.t_max:
-                assert np.isfinite(call(t)), (name, t)
+                assert np.all(np.isfinite(call(t))), (name, t)
             else:
                 with pytest.raises(ValueError, match="outside"):
                     call(t)
