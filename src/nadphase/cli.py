@@ -96,7 +96,7 @@ def _cmd_evolve(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_phase_sweep(cfg: argparse.Namespace) -> int:
-    from . import sweep  # loads scipy, which the other commands do not need
+    from . import sweep
     if cfg.theta_deg is None or cfg.x_f is None:
         raise ConfigError("phase-sweep requires --theta-deg and --xf")
     if cfg.out is None:

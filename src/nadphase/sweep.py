@@ -5,7 +5,7 @@ tan(ετ/2) = g·tan(eτ/2) with ρ(x) = (ε − d)τ/2 on the branch with ρ(0)
 Two mutually validating routes compute ε(x):
 
 * an ODE in x (dε/dx from differentiating the defining relation at fixed τ),
-  integrated adaptively from ε(0) = 1, which is the primary method; and
+  marched from ε(0) = 1 by ``_march`` (RK45's algorithm on floats), the primary method; and
 * the branch-tracked arctangent ετ/2 = atan2(g·sin v, cos v) + mπ with
   m = round(eτ/2 / π) and v = eτ/2 − mπ (``rotating.phase_branch``, which
   also gives the exact ρ(τ)), which is total, needs no marching, and serves
@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .rotating import phase_branch
 
@@ -110,19 +110,74 @@ def epsilon_unwrap(cfg: SweepConfig, x):
 
 
 def _epsilon_rhs(cfg: SweepConfig):
-    """dε/dx at fixed τ, from differentiating tan(ετ/2) = g·tan(eτ/2), on the
-    scalar x the integrator passes (plain ``math``, no arrays)."""
+    """dε/dx at fixed τ, from differentiating tan(ετ/2) = g·tan(eτ/2), as a float
+    of the floats x and ε (plain ``math``, no arrays)."""
     tau = cfg.tau
     cos_t = math.cos(cfg.theta)
 
-    def rhs(x, y):
-        _, e, g, dedx, dgdx = _params(float(x), cos_t)
+    def rhs(x, eps):
+        _, e, g, dedx, dgdx = _params(x, cos_t)
         half_e = e * tau / 2
-        cos_eps_sq = math.cos(y[0] * tau / 2) ** 2
-        return [(2 / tau) * cos_eps_sq * dgdx * math.tan(half_e)
-                + g * dedx * cos_eps_sq / math.cos(half_e) ** 2]
+        cos_eps_sq = math.cos(eps * tau / 2) ** 2
+        return ((2 / tau) * cos_eps_sq * dgdx * math.tan(half_e)
+                + g * dedx * cos_eps_sq / math.cos(half_e) ** 2)
 
     return rhs
+
+
+# Dormand–Prince 5(4) as in scipy's RK45 (Hairer, Nørsett & Wanner, Solving ODEs I, §II.4):
+# stage nodes, stage rows (the last is the 5th-order weights), error weights, dense output.
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+         (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_DP_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+
+
+def _march(f, a, b, y0, tol, xs):
+    """y(xs), xs sorted in [a, b], for y′ = f(x, y), y(a) = y0: scipy's RK45 at rtol = atol = tol
+    on floats (its first step, step control, dense output and ``OdeSolution``'s step per point)."""
+    f0 = f(a, y0)
+    scale = tol + abs(y0) * tol
+    d0, d1 = abs(y0) / scale, abs(f0) / scale
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, b - a)
+    d2 = abs(f(a + h0, y0 + h0 * f0) - f0) / scale / h0
+    h_abs = min(100 * h0, max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+                else (0.01 / max(d1, d2)) ** 0.2, b - a)
+    x, y, steps = a, y0, []
+    while x < b:
+        min_step = 10 * (math.nextafter(x, math.inf) - x)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if not h_abs >= min_step:  # a NaN step size ends here too
+                raise RuntimeError(f"epsilon sweep failed on [{a}, {b}] at x = {x}: step < 10 ulp")
+            x_new = min(x + h_abs, b)
+            h = h_abs = x_new - x
+            k = [f0]
+            for c, row in zip(_DP_C, _DP_A):
+                y_new = y + h * sum(map(mul, row, k))
+                k.append(f(x + c * h, y_new))
+            err = abs(h * sum(map(mul, _DP_E, k)) / (tol + max(abs(y), abs(y_new)) * tol))
+            if err < 1:
+                h_abs *= min(1 if rejected else 10, 0.9 * err ** -0.2 if err else 10)
+                break
+            h_abs, rejected = h_abs * max(0.2, 0.9 * err ** -0.2), True
+        steps.append((x, x_new, y, *k))
+        x, y, f0 = x_new, y_new, k[-1]
+    steps = np.array(steps)
+    s = steps[np.minimum(np.searchsorted(steps[:, 1], xs, "left"), len(steps) - 1)]
+    h, q = s[:, 1] - s[:, 0], (s[:, 3:] @ _DP_P).T
+    u = (xs - s[:, 0]) / h
+    return s[:, 2] + h * (u * (q[0] + u * (q[1] + u * (q[2] + u * q[3]))))
 
 
 def _tangent_poles(cfg: SweepConfig) -> list[float]:
@@ -167,16 +222,11 @@ def figure1_dataset(cfg: SweepConfig | None = None) -> PhaseCurve:
     segments.append((lo, cfg.x_f))
 
     for a, b in segments:
-        inside = (xs >= a) & (xs <= b)
-        if b <= a or not np.any(inside):  # no grid point to fill
+        i, j = np.searchsorted(xs, a, "left"), np.searchsorted(xs, b, "right")
+        if b <= a or i >= j:  # no grid point to fill
             continue
         seed = 1.0 if a == 0.0 else float(epsilon_unwrap(cfg, a))
-        sol = solve_ivp(rhs, (a, b), [seed], method="RK45",
-                        rtol=cfg.tol, atol=cfg.tol, dense_output=True)
-        if not sol.success:
-            raise RuntimeError(
-                f"epsilon sweep failed on [{a}, {b}] at x = {sol.t[-1]}: {sol.message}")
-        eps[inside] = sol.sol(xs[inside])[0]
+        eps[i:j] = _march(rhs, a, b, seed, cfg.tol, xs[i:j])
 
     gaps = np.isnan(eps)
     if np.any(gaps):

@@ -34,6 +34,8 @@ def test_numpy_only_subcommands_load_no_scipy(tmp_path):
         ["evolve", "--theta-deg", "60", "--x", "0.3", "--tau", "5", "--out",
          str(tmp_path / "t.csv")],
         ["nmr", "--theta-deg", "60", "--x", "0.3", "--n", "3", "--out", str(tmp_path / "m.csv")],
+        ["phase-sweep", "--theta-deg", "60", "--xf", "0.3", "--s", "3", "--out",
+         str(tmp_path / "p.csv")],
     ]
     res = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)],
                          capture_output=True, text=True, timeout=60)
