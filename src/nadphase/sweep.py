@@ -144,10 +144,10 @@ _DP_P = np.array([
 
 
 def _march(f, a, b, y0, tol, xs):
-    """y(xs), xs sorted in [a, b], for y′ = f(x, y), y(a) = y0: scipy's RK45 at rtol = atol = tol
-    on floats (its first step, step control, dense output and ``OdeSolution``'s step per point)."""
-    f0 = f(a, y0)
-    scale = tol + abs(y0) * tol
+    """y(xs), xs sorted in [a, b], for y′ = f(x, y), y(a) = y0: scipy's RK45 at atol = tol and rtol =
+    max(tol, 100 eps) on floats (its first step, step control, dense output, step per point)."""
+    rtol, f0 = max(tol, 100 * math.ulp(1.0)), f(a, y0)  # scipy's rtol floor: no steps below rounding
+    scale = tol + abs(y0) * rtol
     d0, d1 = abs(y0) / scale, abs(f0) / scale
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, b - a)
     d2 = abs(f(a + h0, y0 + h0 * f0) - f0) / scale / h0
@@ -166,7 +166,7 @@ def _march(f, a, b, y0, tol, xs):
             for c, row in zip(_DP_C, _DP_A):
                 y_new = y + h * sum(map(mul, row, k))
                 k.append(f(x + c * h, y_new))
-            err = abs(h * sum(map(mul, _DP_E, k)) / (tol + max(abs(y), abs(y_new)) * tol))
+            err = abs(h * sum(map(mul, _DP_E, k)) / (tol + max(abs(y), abs(y_new)) * rtol))
             if err < 1:
                 h_abs *= min(1 if rejected else 10, 0.9 * err ** -0.2 if err else 10)
                 break

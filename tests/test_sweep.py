@@ -183,6 +183,28 @@ class TestMarch:
         ref = solve_ivp(lambda x, y: [f(x, y[0])], (0.0, 2.0), [y0], rtol=1e-10, atol=1e-10)
         assert ys[-1] == pytest.approx(ref.y[0, -1], rel=1e-14, abs=1e-15)
 
+    @pytest.mark.parametrize("tol", [1e-20, 1e-300])
+    def test_a_tolerance_below_rounding_is_floored_as_scipy_floors_it(self, tol, monkeypatch):
+        # scipy raises rtol to 100 eps. Without that floor the rounding error of a step's
+        # error estimate alone exceeds the tolerance, and the march either creeps on in
+        # steps of a few ulp (from x = 0) or raises (elsewhere).
+        cfg = SweepConfig(theta=THETA60, x_f=0.3, s=3.0, tol=tol)
+        eps = figure1_dataset(cfg).eps
+        monkeypatch.setattr(sweep, "_march", _solve_ivp_march)
+        with pytest.warns(UserWarning, match="rtol"):
+            ref = figure1_dataset(cfg).eps
+        assert np.max(np.abs(eps - ref)) <= 1e-12
+
+    def test_a_tolerance_below_rounding_ends_in_a_few_hundred_steps(self):
+        calls = []
+        xs = np.linspace(1.0, 3.0, 11)
+        ys = _march(lambda x, y: calls.append(x) or y, 1.0, 3.0, math.e, 1e-300, xs)
+        assert len(calls) < 2000
+        with pytest.warns(UserWarning, match="rtol"):
+            ref = _solve_ivp_march(lambda x, y: y, 1.0, 3.0, math.e, 1e-300, xs)
+        assert np.max(np.abs(ys - ref)) <= 1e-12
+        assert np.max(np.abs(ys - np.exp(xs))) <= 1e-12
+
     @pytest.mark.parametrize("f", [
         lambda x, y: math.nan,
         lambda x, y: y if x < 0.5 else math.nan,
