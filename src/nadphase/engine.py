@@ -284,6 +284,18 @@ def sliced_propagator(path, t: float, n: int) -> SlicedPropagatorResult:
     return SlicedPropagatorResult(U=U, P_minus=complex(P_minus), T_minus=complex(T_minus))
 
 
+def _cumulative_simpson(y, h):
+    """∫ from the first sample to each sample of y (at least 3, step h), by the rule of scipy's
+    ``cumulative_simpson`` for equal intervals: intervals 2k and 2k + 1 by the parabola through
+    samples 2k, 2k + 1 and 2k + 2, the last interval by the parabola through the last three.
+    Complex y is integrated as it is."""
+    sub = np.zeros_like(y)  # sub[k + 1] is the integral over interval k
+    sub[1:-1:2] = h / 12 * (5 * y[:-2:2] + 8 * y[1:-1:2] - y[2::2])
+    sub[2::2] = h / 12 * (5 * y[2::2] + 8 * y[1:-1:2] - y[:-2:2])
+    sub[-1] = h / 12 * (5 * y[-1] + 8 * y[-2] - y[-3])
+    return np.cumsum(sub)
+
+
 def series_persistence(kernel: CouplingKernel, t: float, order: int) -> complex:
     """Truncated transition-series estimate of S(t).
 
@@ -292,31 +304,26 @@ def series_persistence(kernel: CouplingKernel, t: float, order: int) -> complex:
         S ≈ 1 − ∫₀ᵗ F*(y₁)∫₀^{y₁} F(x₁) + ∫₀ᵗ F*∫F∫F*∫F − ...
 
     truncated after ``order`` transition pairs (order ∈ {0, 1, 2}; order 0
-    returns 1). The ordered integrals are computed as cumulative Simpson
-    antiderivatives on a uniform grid that is refined (doubled) until two
-    successive estimates agree to ``SERIES_QUAD_TOL``. Intended for short windows
-    where the truncation error (|F|·t)^{2·order+2}/(2·order+2)! is small.
+    returns 1). The ordered integrals are cumulative Simpson antiderivatives by
+    scipy's equal-interval rule (``_cumulative_simpson``) on a uniform grid that is
+    refined (doubled) until two successive estimates agree to ``SERIES_QUAD_TOL``.
+    Intended for short windows where the truncation error
+    (|F|·t)^{2·order+2}/(2·order+2)! is small.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
     if order == 0:
         return 1.0 + 0j
-    from scipy.integrate import cumulative_simpson  # an oracle: the engine itself needs numpy only
-
-    def integral(y, ts):
-        # scipy's cumulative_simpson casts complex input to real, so split parts
-        return (cumulative_simpson(y.real, x=ts, initial=0.0)
-                + 1j * cumulative_simpson(y.imag, x=ts, initial=0.0))
 
     def estimate(m: int) -> complex:
-        ts = np.linspace(0.0, t, m + 1)
-        F = kernel.F(ts)
-        A0 = integral(F, ts)
-        A1 = integral(np.conj(F) * A0, ts)
+        h = t / m
+        F = kernel.F(np.linspace(0.0, t, m + 1))
+        A0 = _cumulative_simpson(F, h)
+        A1 = _cumulative_simpson(np.conj(F) * A0, h)
         S = 1.0 - A1[-1]
         if order >= 2:
-            A2 = integral(F * A1, ts)
-            A3 = integral(np.conj(F) * A2, ts)
+            A2 = _cumulative_simpson(F * A1, h)
+            A3 = _cumulative_simpson(np.conj(F) * A2, h)
             S = S + A3[-1]
         return complex(S)
 

@@ -221,11 +221,12 @@ def figure1_dataset(cfg: SweepConfig | None = None) -> PhaseCurve:
         lo = pole + margin
     segments.append((lo, cfg.x_f))
 
-    for a, b in segments:
+    starts = np.array([a for a, _ in segments])
+    seeds = np.where(starts == 0.0, 1.0, epsilon_unwrap(cfg, starts)).tolist()
+    for (a, b), seed in zip(segments, seeds):
         i, j = np.searchsorted(xs, a, "left"), np.searchsorted(xs, b, "right")
         if b <= a or i >= j:  # no grid point to fill
             continue
-        seed = 1.0 if a == 0.0 else float(epsilon_unwrap(cfg, a))
         eps[i:j] = _march(rhs, a, b, seed, cfg.tol, xs[i:j])
 
     gaps = np.isnan(eps)

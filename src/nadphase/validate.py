@@ -15,11 +15,12 @@ that is byte-identical across repeated runs with the same configuration.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import engine, nmr, rotating, sweep
-from .paths import PrecessingPath, SampledPath, coupling_at, instantaneous_eigensystem, make_kernel
+from .paths import PrecessingPath, coupling_at, instantaneous_eigensystem, make_kernel
 
 GRID_X = (0.05, 0.1, 0.2, 0.3, 0.5)
 GRID_THETA_DEG = (30.0, 60.0, 90.0, 120.0)
@@ -216,9 +217,9 @@ def check_sweep_vs_unwrap(tol: float) -> list[dict]:
 
 def check_coupling_finite_difference(tol: float) -> list[dict]:
     """Analytic couplings against central differences of the gauge-fixed
-    eigenvectors along a sampled path."""
-    ts = np.linspace(0.0, 3.0, 601)
-    path = SampledPath(ts, np.pi / 2 + 0.1 * np.sin(ts), ts.copy(), np.ones_like(ts))
+    eigenvectors, on the closed-form path θ = π/2 + 0.1 sin t, φ = t, R = 1."""
+    path = SimpleNamespace(t_max=3.0, state=lambda t: (np.pi / 2 + 0.1 * np.sin(t), t, 1.0,
+                                                       0.1 * np.cos(t), 1.0))
     h = 1e-5
     err = 0.0
     for t in (0.5, 1.0, 1.5, 2.0, 2.5):

@@ -298,10 +298,13 @@ class TestSeries:
         with pytest.raises(ValueError):
             engine.series_persistence(kernel, 1.0, 3)
 
-    def test_sampled_kernel(self):
+    @staticmethod
+    def _sampled_kernel():
         ts = np.linspace(0.0, 2.0, 201)
-        path = SampledPath(ts, np.pi / 2 + 0.1 * np.sin(ts), ts.copy(), np.ones_like(ts))
-        kernel = make_kernel(path)
+        return make_kernel(SampledPath(ts, np.pi / 2 + 0.1 * np.sin(ts), ts.copy(), np.ones_like(ts)))
+
+    def test_sampled_kernel(self):
+        kernel = self._sampled_kernel()
         traj = engine.evolve(kernel, 0.5, tol=1e-10)
         S_engine, _ = traj.amplitudes(0.5)
         F_max = max(abs(kernel.F(u)) for u in np.linspace(0.0, 0.5, 50))
@@ -310,6 +313,37 @@ class TestSeries:
             bound = (F_max * 0.5) ** k2 / math.factorial(k2)
             err = abs(engine.series_persistence(kernel, 0.5, order) - complex(S_engine))
             assert err <= bound + 1e-10
+
+    @pytest.mark.parametrize("n", [5, 6, 513, 1024])
+    def test_cumulative_simpson_is_scipys_rule(self, n):
+        # random complex samples: a rule that took another parabola for any interval
+        # would miss by the order of the samples, not of rounding
+        from scipy.integrate import cumulative_simpson
+
+        xs = np.linspace(0.0, 2.5, n)
+        rng = np.random.default_rng(n)
+        y = rng.normal(size=n) + 1j * rng.normal(size=n)
+        want = (cumulative_simpson(y.real, x=xs, initial=0.0)
+                + 1j * cumulative_simpson(y.imag, x=xs, initial=0.0))
+        h = 2.5 / (n - 1)
+        got = engine._cumulative_simpson(y, h)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * h * np.sum(np.abs(y))
+
+    @pytest.mark.parametrize("kernel,t,order,S", [
+        ("precession", 0.5, 1, 0.9979221849392378 + 0.00029614091083695487j),
+        ("precession", 0.5, 2, 0.9979229131934537 + 0.0002960159229861343j),
+        ("precession", 1.0, 1, 0.9920584298779364 + 0.0023057344820170845j),
+        ("precession", 1.0, 2, 0.992069456077114 + 0.002301837026357858j),
+        ("sampled", 0.5, 1, 0.9710278253635276 + 0.009992701950988572j),
+        ("sampled", 0.5, 2, 0.971177265360312 + 0.009929576132557717j),
+    ])
+    def test_matches_the_scipy_quadrature(self, kernel, t, order, S):
+        # S frozen from series_persistence on scipy.integrate.cumulative_simpson (scipy
+        # 1.17.1, real and imaginary parts apart), at the inputs of the tests above
+        kernel = (make_kernel(PrecessingPath.dimensionless(0.3, THETA60)) if kernel == "precession"
+                  else self._sampled_kernel())
+        assert abs(engine.series_persistence(kernel, t, order) - S) <= 1e-14
 
 
 class TestClosedForms:
