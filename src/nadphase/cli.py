@@ -88,8 +88,14 @@ def _cmd_evolve(cfg: argparse.Namespace) -> int:
             path = PrecessingPath.dimensionless(cfg.x, math.radians(cfg.theta_deg))
     except ValueError as exc:  # a malformed file or an out-of-range parameter
         raise ConfigError(str(exc)) from exc
-    if cfg.path_file and cfg.tau > path.duration:
-        raise ConfigError(f"tau = {cfg.tau} exceeds path duration {path.duration}")
+    if cfg.tau > path.t_max:
+        raise ConfigError(f"tau = {cfg.tau} exceeds path duration {path.t_max}")
+    if not cfg.path_file:  # each step of a precession turns by h·e/2, e = √(δ² + 4|Γ₋|²)
+        frame = coupling_at(path, 0.0)
+        e, tau = math.hypot(frame.delta, 2 * abs(frame.Gamma_minus)), cfg.tau
+        if not (e * tau / math.pi <= engine.MAX_STEPS and math.isfinite(e * e + tau * tau)):
+            raise ConfigError(f"e = {e:.4g} and tau = {tau:.4g} need e*tau/pi <= "
+                              f"{engine.MAX_STEPS} steps, and e*e and tau*tau finite")
     traj = engine.evolve(make_kernel(path), cfg.tau, tol=cfg.tol)
     write_csv(cfg.out, engine.TRAJECTORY_HEADER, engine.trajectory_table(traj))
     return 0

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .paths import instantaneous_eigensystem
-from .rotating import exact_S, exact_rho, propagate_exact, solve_rotating_frame
+from .rotating import phase_branch, propagate_exact, solve_rotating_frame
 
 MAX_CYCLES = 2**16  # rows of a magnetization table (README, "Command line")
 
@@ -64,7 +64,7 @@ def _arg_approx(x: float, theta: float, n):
 def magnetization(x: float, theta: float, n):
     """(M⊥, arg_exact, arg_approx, A²) after n whole cycles, n an int or an
     integer array: M⊥ in closed form (module docstring), arg_exact = dτ + 2ρ
-    the argument of its dominant term, and arg_approx the weak-drive argument,
+    = 2·arg z the argument of its dominant term, and arg_approx the weak-drive argument,
     whose magnetization is A²·cos(arg_approx). Rejects x = 0: the dynamical
     term 2πn/x diverges at fixed cycle count."""
     tau = _cycle_tau(x, n)
@@ -75,8 +75,8 @@ def magnetization(x: float, theta: float, n):
     # z² + Ĉ² in real products: numpy fuses a complex array product and
     # squares a scalar with pow, and a table row must round as one cycle does
     M_perp = cos_h * cos_h - im_z * im_z + (1 - sol.g**2) * sin_h * sin_h + 1j * (2 * cos_h * im_z)
-    A = np.abs(exact_S(x, theta, tau))
-    return M_perp, sol.d * tau + 2 * exact_rho(x, theta, tau), _arg_approx(x, theta, n), A * A
+    A2 = cos_h * cos_h + im_z * im_z  # |z|² = |S|²
+    return M_perp, 2 * phase_branch(half, sol.g), _arg_approx(x, theta, n), A2
 
 
 def direct_expectation(x: float, theta: float, n: int) -> complex:
@@ -86,9 +86,7 @@ def direct_expectation(x: float, theta: float, n: int) -> complex:
     2⟨ψ|E₊(0)⟩⟨E₋(0)|ψ⟩, which is M⊥ in γħ/2 units at integer cycles.
     """
     tau = _cycle_tau(x, n)
-    half = theta / 2
-    v_plus0 = np.array([math.cos(half), math.sin(half)], dtype=complex)
-    v_minus0 = np.array([math.sin(half), -math.cos(half)], dtype=complex)
+    _, _, v_plus0, v_minus0 = instantaneous_eigensystem(theta, 0.0)
     psi = propagate_exact(x, theta, tau, (v_plus0 + v_minus0) / math.sqrt(2))
     return complex(2 * (psi.conj() @ v_plus0) * (v_minus0.conj() @ psi))
 
@@ -100,10 +98,14 @@ MAGNETIZATION_HEADER = ["n", "x", "theta_deg", "Mx_exact", "Mx_approx",
 def magnetization_table(x: float, theta: float, n_max: int) -> np.ndarray:
     """Rows for cycles 1..n_max (columns per MAGNETIZATION_HEADER), with
     Mx_exact = Re M⊥ and Mx_approx = A²·cos(arg_approx)."""
-    _cycle_tau(x, n_max)  # rejects x and n_max before any numerics
-    if n_max > MAX_CYCLES:
-        raise ValueError(f"cycle count n = {n_max} is over {MAX_CYCLES}")
-    n = np.arange(1, n_max + 1)
-    M_perp, arg_exact, arg_approx, A2 = magnetization(x, theta, n)
-    return np.column_stack(np.broadcast_arrays(
-        n, x, math.degrees(theta), M_perp.real, A2 * np.cos(arg_approx), arg_exact, arg_approx, A2))
+    with np.errstate(all="ignore"):  # a table that overflows is refused below
+        _cycle_tau(x, n_max)  # rejects x and n_max before any numerics
+        if n_max > MAX_CYCLES:
+            raise ValueError(f"cycle count n = {n_max} is over {MAX_CYCLES}")
+        n = np.arange(1, n_max + 1)
+        M_perp, arg_exact, arg_approx, A2 = magnetization(x, theta, n)
+        table = np.column_stack(np.broadcast_arrays(n, x, math.degrees(theta), M_perp.real,
+                                                    A2 * np.cos(arg_approx), arg_exact, arg_approx, A2))
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"x = {x} with n = {n_max} cycles gives a table entry that is not finite")
+    return table

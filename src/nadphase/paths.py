@@ -33,22 +33,13 @@ class GaugeSingularityError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EigenFrame:
-    """Instantaneous eigensystem and couplings of H(t) at one time point."""
+    """Berry rates, coupling and detuning of H(t) at one time point; the eigenpairs are
+    ``instantaneous_eigensystem``'s, and Γ₊ = −Γ₋*."""
 
-    t: float
-    E_plus: float
-    E_minus: float
-    v_plus: np.ndarray
-    v_minus: np.ndarray
     gamma_rate_plus: float
     gamma_rate_minus: float
     Gamma_minus: complex
     delta: float
-
-    @property
-    def Gamma_plus(self) -> complex:
-        """Coupling for the upper level, Γ₊ = −Γ₋*."""
-        return -np.conj(self.Gamma_minus)
 
 
 @dataclass(frozen=True)
@@ -71,28 +62,21 @@ class CouplingKernel:
 
 @dataclass(frozen=True)
 class PrecessingPath:
-    """R(t) of constant magnitude precessing about z at fixed polar angle.
-
-    θ is constant, φ(t) = ω t. ``duration`` is advisory (the path is defined
-    for all t ≥ 0); it defaults to one precession cycle.
-    """
+    """R(t) of constant magnitude precessing about z at fixed polar angle:
+    θ is constant, φ(t) = ω t, for all t ≥ 0."""
 
     R: float
     theta: float
     omega: float
-    duration: float | None = None
 
     t_max = math.inf
 
     def __post_init__(self):
-        if not 0 < self.R < math.inf:
-            raise ValueError(f"R must be positive and finite, got {self.R}")
+        if not (0 < self.R and math.isfinite(2 * self.R + abs(self.omega))):
+            raise ValueError(f"R must be positive and 2R + |omega| finite, got R = {self.R} "
+                             f"and omega = {self.omega}")
         if not 0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not math.isfinite(self.omega):
-            raise ValueError(f"omega must be finite, got {self.omega}")
-        if self.duration is None and self.omega != 0:
-            object.__setattr__(self, "duration", 2 * math.pi / abs(self.omega))
 
     @classmethod
     def dimensionless(cls, x: float, theta: float) -> "PrecessingPath":
@@ -155,23 +139,11 @@ def check_span(t, t_max):
 
 
 def coupling_at(path, t: float) -> EigenFrame:
-    """Instantaneous eigenframe with Berry rates, coupling Γ₋, and detuning δ at t in
-    [0, ``path.t_max``]; ValueError for any other t, NaN included."""
+    """Berry rates, coupling Γ₋ and detuning δ at t in [0, ``path.t_max``]; ValueError
+    for any other t, NaN included."""
     check_span(t, path.t_max)
     state = path.state(t)
-    E_plus, E_minus, v_plus, v_minus = instantaneous_eigensystem(*state[:3])
-    gamma_rate_plus, gamma_rate_minus = _berry_rates(state)
-    return EigenFrame(
-        t=t,
-        E_plus=E_plus,
-        E_minus=E_minus,
-        v_plus=v_plus,
-        v_minus=v_minus,
-        gamma_rate_plus=gamma_rate_plus,
-        gamma_rate_minus=gamma_rate_minus,
-        Gamma_minus=_coupling(state),
-        delta=_detuning(state),
-    )
+    return EigenFrame(*_berry_rates(state), Gamma_minus=_coupling(state), delta=_detuning(state))
 
 
 def berry_phase(path, level: int, t: float) -> float:

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .paths import instantaneous_eigensystem
+
 
 class DegenerateSplittingError(ValueError):
     """The rotating-frame splitting vanishes (requires x = 1 and θ = 0)."""
@@ -34,7 +36,6 @@ class RotatingFrameSolution:
     """Rotating-frame geometry and expansion coefficients at one (x, θ)."""
 
     theta_bar: float
-    Delta_theta: float
     Omega0: float
     a_plus: float
     a_minus: float
@@ -63,7 +64,6 @@ def solve_rotating_frame(x: float, theta: float) -> RotatingFrameSolution:
     Delta = theta_bar - theta
     return RotatingFrameSolution(
         theta_bar=theta_bar,
-        Delta_theta=Delta,
         Omega0=e,
         a_plus=-math.sin(Delta / 2),
         a_minus=math.cos(Delta / 2),
@@ -92,12 +92,9 @@ def propagate_exact(x: float, theta: float, tau: float, psi0=None) -> np.ndarray
     e^{+ixτ/2}). Unitary, so the norm is preserved exactly.
     """
     sol = solve_rotating_frame(x, theta)
-    hb = sol.theta_bar / 2
-    vbar_plus = np.array([math.cos(hb), math.sin(hb)])
-    vbar_minus = np.array([math.sin(hb), -math.cos(hb)])
+    _, _, vbar_plus, vbar_minus = instantaneous_eigensystem(sol.theta_bar, 0.0)
     if psi0 is None:
-        half = theta / 2
-        psi0 = np.array([math.sin(half), -math.cos(half)])
+        psi0 = instantaneous_eigensystem(theta, 0.0)[3]
     psi0 = np.asarray(psi0, dtype=complex)
     b_plus = vbar_plus @ psi0
     b_minus = vbar_minus @ psi0

@@ -72,15 +72,9 @@ class SampledPath:
         self._spline = PPoly.construct_fast(np.concatenate([c, rates], axis=2), self.t)
 
     def state(self, t):
-        """(θ, φ, R, θ̇, φ̇) at a scalar time (floats) or an array of times
-        (arrays), from one spline evaluation. Raises GaugeSingularityError
-        where the interpolated θ leaves (0, π)."""
+        """(θ, φ, R, θ̇, φ̇) in the shape of t, from one spline evaluation. Raises
+        GaugeSingularityError where the interpolated θ leaves (0, π)."""
         values = self._spline(t)
-        if values.ndim == 1:
-            values = values.tolist()
-            if not 0 < values[0] < math.pi:
-                raise GaugeSingularityError(f"theta(t={t}) = {values[0]} outside (0, pi)")
-            return tuple(values)
         theta = values[..., 0].ravel()
         bad = ~((theta > 0) & (theta < math.pi))
         if np.any(bad):

@@ -4,11 +4,13 @@ import random
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nadphase import _fmt, cli, rotating
 
@@ -428,3 +430,32 @@ def test_fuzzed_arguments_exit_cleanly_and_in_time(tmp_path, capsys):
                 json.loads(Path(out).read_text(), parse_constant=_reject_constant)
     finally:
         signal.signal(signal.SIGALRM, previous)
+
+
+# Each value up to 1e308 in size; the angle within its range, where the other values matter.
+WIDE = st.floats(-1e308, 1e308)
+LARGE_INPUTS = {
+    "eigen": {"theta-deg": st.floats(0.0, 180.0), "phi-deg": WIDE, "r": WIDE, "omega": WIDE},
+    "nmr": {"theta-deg": st.floats(0.0, 180.0), "x": WIDE, "n": st.integers(-1, 300)},
+    "evolve": {"theta-deg": st.floats(0.0, 180.0), "x": WIDE, "tau": WIDE},
+}
+
+
+@settings(max_examples=150, deadline=None)
+@example(["nmr", "--theta-deg=60", "--x=1e300", "--n=1"])  # x² overflows
+@example(["eigen", "--theta-deg=60", "--r=1e308", "--omega=1e308"])  # δ = 2R − ω cosθ overflows
+@example(["evolve", "--theta-deg=60", "--x=0.3", "--tau=1e12"])  # over MAX_STEPS steps
+@example(["evolve", "--theta-deg=60", "--x=1e200", "--tau=1e-195"])  # a step squares Γ₋
+@example(["evolve", "--theta-deg=0", "--x=1", "--tau=1e300"])  # e = 0, and a step squares h
+@given(st.sampled_from(sorted(LARGE_INPUTS)).flatmap(lambda command: st.fixed_dictionaries(
+    LARGE_INPUTS[command]).map(lambda flags: [command, *(f"--{k}={v}" for k, v in flags.items())])))
+def test_large_inputs_give_finite_output_or_exit_2(argv):
+    # flags are passed as --flag=value, as argparse reads a bare -1e308 as an option
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = cli.main([*argv, f"--out={out}"])
+        assert code in (0, 2), argv
+        if code == 0 and argv[0] == "eigen":  # strict JSON: no NaN or Infinity
+            json.loads(out.read_text(), parse_constant=_reject_constant)
+        elif code == 0:
+            assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1))), argv

@@ -212,7 +212,7 @@ class TestSlicedPropagator:
         assert 1.8 <= e1 / e2 <= 2.2
 
     def test_static_hamiltonian(self):
-        path = PrecessingPath(R=0.5, theta=1.0, omega=0.0, duration=10.0)
+        path = PrecessingPath(R=0.5, theta=1.0, omega=0.0)
         t, n = 1.0, 4000
         res = engine.sliced_propagator(path, t, n)
         # exact limit exp(+iRt); first-order slices leave O(t^2/n)

@@ -54,6 +54,11 @@ QUAD_PATHS = {
 }
 
 
+def span_end(path):
+    """The last sample time of a sampled path, the end of the first turn of a precession."""
+    return path.t_max if math.isfinite(path.t_max) else 2 * math.pi / abs(path.omega)
+
+
 def quad_at_knots(f, path, t):
     """∫₀ᵗ f by adaptive quadrature split at the sample knots, where f is smooth between."""
     knots = path.t[(path.t > 0) & (path.t < t)]
@@ -109,18 +114,12 @@ class TestCoupling:
         assert frame.Gamma_minus == 0
         assert abs(frame.delta - (2.0 - 0.7)) <= 1e-15
 
-    def test_gamma_plus_identity(self):
-        for path in (PrecessingPath(R=1.0, theta=1.1, omega=0.4), wobble_path()):
-            for t in (0.3, 1.2, 2.4):
-                frame = coupling_at(path, t)
-                assert abs(frame.Gamma_plus + np.conj(frame.Gamma_minus)) <= 1e-15
-
     def test_detuning_consistency(self):
         for path in (PrecessingPath(R=1.3, theta=0.9, omega=0.5), wobble_path()):
             for t in (0.2, 1.0, 2.5):
                 frame = coupling_at(path, t)
-                other = (frame.E_plus - frame.E_minus) - (frame.gamma_rate_plus
-                                                          - frame.gamma_rate_minus)
+                E_plus, E_minus, _, _ = instantaneous_eigensystem(*path.state(t)[:3])
+                other = (E_plus - E_minus) - (frame.gamma_rate_plus - frame.gamma_rate_minus)
                 assert abs(frame.delta - other) <= 1e-12
 
     def _fd_frame(self, path, t, h):
@@ -229,7 +228,7 @@ def test_times_outside_the_span_are_refused(path):
              "F": kernel.F, "delta": kernel.delta, "gamma_rates": kernel.gamma_rates,
              "F of an array": lambda t: kernel.F(np.array([0.0, t]))}
     assert kernel.t_max == path.t_max
-    for t in (-1.0, -1e-300, 1.5 * path.duration, math.nan, 0.0, path.duration):
+    for t in (-1.0, -1e-300, 1.5 * span_end(path), math.nan, 0.0, span_end(path)):
         for name, call in calls.items():
             if 0 <= t <= path.t_max:
                 assert np.all(np.isfinite(call(t))), (name, t)
@@ -244,7 +243,7 @@ class TestKernel:
         # bit for bit the closed forms: F = Γ₋e^{iδ₀t}, Γ₋ = −(i/2)ω sinθ, δ₀ = 2R − ω cosθ,
         # γ̇₊ = −ω sin²(θ/2), γ̇₋ = −ω cos²(θ/2), at scalar times and arrays of times
         R = 0.5
-        kernel = make_kernel(PrecessingPath(R=R, theta=theta, omega=omega, duration=10.0))
+        kernel = make_kernel(PrecessingPath(R=R, theta=theta, omega=omega))
         Gamma, delta0 = -0.5j * omega * np.sin(theta), 2 * R - omega * np.cos(theta)
         rates = (-omega * np.sin(theta / 2) ** 2, -omega * np.cos(theta / 2) ** 2)
         times = np.linspace(0.0, 40.0, 97)
@@ -256,7 +255,7 @@ class TestKernel:
             np.testing.assert_array_equal(kernel.gamma_rates(t), [r + 0 * t for r in rates])
 
     def test_static_environment(self):
-        kernel = make_kernel(PrecessingPath(R=1.0, theta=1.0, omega=0.0, duration=10.0))
+        kernel = make_kernel(PrecessingPath(R=1.0, theta=1.0, omega=0.0))
         assert kernel.F(0.0) == 0 and kernel.F(3.7) == 0
 
     def test_magnitude_reference(self):
@@ -348,7 +347,7 @@ class TestSampledKernelOracle:
 
     def test_array_state_matches_scalar(self, setup):
         for path in (setup[0], PrecessingPath(R=0.5, theta=1.1, omega=-0.7)):
-            times = np.random.default_rng(22).uniform(0.0, path.duration, 50)
+            times = np.random.default_rng(22).uniform(0.0, span_end(path), 50)
             columns = path.state(times)
             for i, v in enumerate(times):
                 assert [c[i] for c in columns] == list(path.state(v))
@@ -410,7 +409,7 @@ class TestSharedEvaluation:
         state = path.state
         # an instance patch, seen by the kernel; the precession is a frozen dataclass
         object.__setattr__(path, "state", lambda t: calls.append(t) or state(t))
-        traj = engine.evolve(make_kernel(path), path.duration)
+        traj = engine.evolve(make_kernel(path), span_end(path))
         assert traj.stats["doublings"] >= 1
         assert len(calls) == traj.stats["doublings"] + 2  # ∫δ, then one per level
 
@@ -421,7 +420,7 @@ class TestSharedEvaluation:
         # np.array(t) is a writable copy, which the members never share
         fresh = CouplingKernel(**{name: (lambda f: lambda t: f(np.array(t)))(getattr(kernel, name))
                                   for name in self.MEMBERS}, t_max=kernel.t_max)
-        shared, unshared = (engine.evolve(k, path.duration) for k in (kernel, fresh))
+        shared, unshared = (engine.evolve(k, span_end(path)) for k in (kernel, fresh))
         np.testing.assert_array_equal(engine.trajectory_table(shared),
                                       engine.trajectory_table(unshared))
         assert shared.stats == unshared.stats
@@ -528,6 +527,7 @@ class TestPathValidation:
 
     @pytest.mark.parametrize("R,omega", [
         (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+        (1e308, 0.0), (1e307, -1.7e308),  # δ = 2R − ω cosθ can overflow
     ])
     def test_precessing_rejects_non_finite(self, R, omega):
         with pytest.raises(ValueError):

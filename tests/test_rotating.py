@@ -23,7 +23,6 @@ class TestRotatingFrame:
     def test_static_limit(self):
         sol = solve_rotating_frame(0.0, 1.1)
         assert sol.theta_bar == pytest.approx(1.1, abs=1e-15)
-        assert sol.Delta_theta == pytest.approx(0.0, abs=1e-15)
         assert sol.a_plus == pytest.approx(0.0, abs=1e-15)
         assert sol.a_minus == pytest.approx(1.0, abs=1e-15)
 
