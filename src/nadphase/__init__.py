@@ -17,12 +17,11 @@ _EXPORTS = {
     "nmr": ("direct_expectation", "exact_amplitudes", "magnetization"),
     "paths": ("CouplingKernel", "EigenFrame", "GaugeSingularityError", "PrecessingPath",
               "berry_phase", "coupling_at", "instantaneous_eigensystem", "make_kernel"),
-    "rotating": ("DegenerateSplittingError", "RotatingFrameSolution", "exact_S", "exact_rho",
-                 "propagate_exact", "solve_rotating_frame"),
+    "rotating": ("DegenerateSplittingError", "RotatingFrameSolution", "dimensionless_params",
+                 "exact_S", "exact_rho", "propagate_exact", "solve_rotating_frame"),
     "sampled": ("SampledPath", "load_path_csv"),
-    "sweep": ("PhaseCurve", "SweepConfig", "dimensionless_params", "epsilon_unwrap",
-              "figure1_dataset", "first_iteration_epsilon", "rho_berry_comparison",
-              "rho_first_iteration"),
+    "sweep": ("PhaseCurve", "SweepConfig", "epsilon_unwrap", "figure1_dataset",
+              "first_iteration_epsilon", "rho_berry_comparison", "rho_first_iteration"),
     "validate": ("run_validation",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

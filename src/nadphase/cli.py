@@ -90,13 +90,17 @@ def _cmd_evolve(cfg: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     if cfg.tau > path.t_max:
         raise ConfigError(f"tau = {cfg.tau} exceeds path duration {path.t_max}")
-    if not cfg.path_file:  # each step of a precession turns by h·e/2, e = √(δ² + 4|Γ₋|²)
+    tau = cfg.tau  # a step turns by about h·e/2, e = √(w² + 4|Γ₋|²) with w the frame's rate
+    if cfg.path_file:  # a lower bound on e: w = ∫₀^τ δ / τ, and |Γ₋| at the knots up to τ
+        w = float(path.integral(paths._detuning)(tau)) / tau if tau else 0.0
+        e = math.hypot(w, 2 * abs(coupling_at(path, path.t[path.t <= tau]).Gamma_minus).max())
+    else:  # exact on a precession, where w = δ
         frame = coupling_at(path, 0.0)
-        e, tau = math.hypot(frame.delta, 2 * abs(frame.Gamma_minus)), cfg.tau
-        if not (e * tau / math.pi <= engine.MAX_STEPS and math.isfinite(e * e + tau * tau)):
-            raise ConfigError(f"e = {e:.4g} and tau = {tau:.4g} need e*tau/pi <= "
-                              f"{engine.MAX_STEPS} steps, and e*e and tau*tau finite")
-    traj = engine.evolve(make_kernel(path), cfg.tau, tol=cfg.tol)
+        e = math.hypot(frame.delta, 2 * abs(frame.Gamma_minus))
+    if not (e * tau / math.pi <= engine.MAX_STEPS and math.isfinite(e * e + tau * tau)):
+        raise ConfigError(f"e = {e:.4g} and tau = {tau:.4g} need e*tau/pi <= "
+                          f"{engine.MAX_STEPS} steps, and e*e and tau*tau finite")
+    traj = engine.evolve(make_kernel(path), tau, tol=cfg.tol)
     write_csv(cfg.out, engine.TRAJECTORY_HEADER, engine.trajectory_table(traj))
     return 0
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .paths import instantaneous_eigensystem
-from .rotating import phase_branch, propagate_exact, solve_rotating_frame
+from .rotating import dimensionless_params, phase_branch, propagate_exact
 
 MAX_CYCLES = 2**16  # rows of a magnetization table (README, "Command line")
 
@@ -53,30 +53,26 @@ def exact_amplitudes(x: float, theta: float, t: float):
     return complex(P_minus), complex(P_plus), complex(T_minus), complex(T_plus)
 
 
-def _arg_approx(x: float, theta: float, n):
-    # cosine argument 2πn(1/x − cosθ + x sin²θ(1/2 + (2/3)x cosθ)); the
-    # first two terms are the dynamical and geometric contributions
-    cos_t = math.cos(theta)
-    s2 = math.sin(theta) ** 2
-    return 2 * math.pi * n * (1 / x - cos_t + x * s2 * (0.5 + (2.0 / 3.0) * x * cos_t))
-
-
 def magnetization(x: float, theta: float, n):
     """(M⊥, arg_exact, arg_approx, A²) after n whole cycles, n an int or an
     integer array: M⊥ in closed form (module docstring), arg_exact = dτ + 2ρ
-    = 2·arg z the argument of its dominant term, and arg_approx the weak-drive argument,
-    whose magnetization is A²·cos(arg_approx). Rejects x = 0: the dynamical
+    = 2·arg z the argument of its dominant term, and arg_approx the weak-drive argument
+    2πn(1/x − cosθ) + 2ρ₁ with ρ₁ curve B at ωt = 2πn (dynamical, geometric and first-iteration
+    terms), whose magnetization is A²·cos(arg_approx). Rejects x = 0: the dynamical
     term 2πn/x diverges at fixed cycle count."""
+    from .sweep import rho_first_iteration  # here, not at the top: every CLI command imports nmr
     tau = _cycle_tau(x, n)
-    sol = solve_rotating_frame(x, theta)
-    half = sol.e * tau / 2
+    _, e, g = dimensionless_params(x, theta)
+    half = e * tau / 2
     cos_h, sin_h = np.cos(half), np.sin(half)
-    im_z = sol.g * sin_h
+    im_z = g * sin_h
     # z² + Ĉ² in real products: numpy fuses a complex array product and
     # squares a scalar with pow, and a table row must round as one cycle does
-    M_perp = cos_h * cos_h - im_z * im_z + (1 - sol.g**2) * sin_h * sin_h + 1j * (2 * cos_h * im_z)
+    M_perp = cos_h * cos_h - im_z * im_z + (1 - g**2) * sin_h * sin_h + 1j * (2 * cos_h * im_z)
     A2 = cos_h * cos_h + im_z * im_z  # |z|² = |S|²
-    return M_perp, 2 * phase_branch(half, sol.g), _arg_approx(x, theta, n), A2
+    arg_approx = (2 * math.pi * n * (1 / x - math.cos(theta))
+                  + 2 * rho_first_iteration(x, theta, 2 * math.pi * n))
+    return M_perp, 2 * phase_branch(half, g), arg_approx, A2
 
 
 def direct_expectation(x: float, theta: float, n: int) -> complex:

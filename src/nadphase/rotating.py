@@ -2,7 +2,7 @@
 
 In the frame co-rotating with the field the Hamiltonian is static: the field
 direction tips to θ̄ with tanθ̄ = sinθ/(cosθ − x), the stationary splitting is
-the Rabi-type frequency Ω₀, and the initial lower eigenstate decomposes with
+the Rabi-type frequency Ω₀ = e, and the initial lower eigenstate decomposes with
 coefficients a₊ = −sin(Δθ/2), a₋ = cos(Δθ/2) where Δθ = θ̄ − θ. Transforming
 back to the lab frame yields the exact state and, from it, the persistence
 factor
@@ -12,9 +12,10 @@ factor
 
 This module is the primary analytic oracle for the evolution engine. All
 quantities are dimensionless: the level splitting sets 2R = 1, so ω = x,
-t = τ, d = δ and e = Ω₀ in these units. d = 1 − x cosθ and e = √(1 − 2x cosθ + x²)
-are the same algebraic forms the frequency-sweep module uses; only θ̄ and
-g = cos Δθ come from the rotating-frame geometry, where the sweep takes g = d/e.
+t = τ, d = δ and e = Ω₀ in these units. d = 1 − x cosθ, e = √(1 − 2x cosθ + x²)
+and g = d/e = cos Δθ are defined once, by ``dimensionless_params``, in a form that
+does not cancel near x = 1, θ = 0; the closed forms here, the frequency sweep and
+the NMR readout all read them from it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,33 @@ class DegenerateSplittingError(ValueError):
     """The rotating-frame splitting vanishes (requires x = 1 and θ = 0)."""
 
 
+def _dimensionless(theta, sqrt=math.sqrt, hypot=math.hypot):
+    """x ↦ (d, e, g) at θ, x ≥ 0, on floats by default and on arrays with ``sqrt=np.sqrt,
+    hypot=np.hypot``. With k = sinθ/cos(θ/2), k²/2 = 1 − cosθ, so d = (1 − x) + x·k²/2 and
+    e = hypot(1 − x, √x·k) = √(1 − 2x cosθ + x²), neither cancelling near x = 1, θ = 0."""
+    k = math.sin(theta) / math.cos(theta / 2)
+    half_k2 = k * k / 2
+
+    def params(x):
+        d, e = (1 - x) + x * half_k2, hypot(1 - x, sqrt(x) * k)
+        return d, e, d / e
+
+    return params
+
+
+def dimensionless_params(x, theta):
+    """(d, e, g) at x ≥ 0, a float or an array, and θ in [0, π], in units 2R = 1
+    (``_dimensionless``). e vanishes at x = 1, θ = 0 alone: DegenerateSplittingError."""
+    x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+    if not (0 <= theta <= math.pi and np.all(x >= 0)):
+        raise ValueError(f"theta must lie in [0, pi] and x be non-negative, got {theta} and "
+                         f"{np.min(x)}")
+    if theta == 0 and np.any(x == 1):
+        raise DegenerateSplittingError("Omega0 = 0 at x = 1, theta = 0")
+    lib = math if isinstance(x, float) else np
+    return _dimensionless(theta, lib.sqrt, lib.hypot)(x)
+
+
 @dataclass(frozen=True)
 class RotatingFrameSolution:
     """Rotating-frame geometry and expansion coefficients at one (x, θ)."""
@@ -39,47 +67,28 @@ class RotatingFrameSolution:
     Omega0: float
     a_plus: float
     a_minus: float
-    d: float
-    e: float
-    g: float
 
 
 def solve_rotating_frame(x: float, theta: float) -> RotatingFrameSolution:
-    """Tip angle, Rabi frequency, and initial-state coefficients.
+    """Tip angle, Rabi frequency Ω₀ = e and initial-state coefficients.
 
     θ̄ is taken from atan2(sinθ, cosθ − x) so it stays in [0, π] and Δθ is
     continuous in x even past cosθ = x.
     """
-    if x < 0:
-        raise ValueError(f"x must be non-negative, got {x}")
-    if not 0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    d = 1 - x * math.cos(theta)
-    e = math.sqrt(1 - 2 * x * math.cos(theta) + x * x)
-    if e == 0.0:  # 0 by cancellation near x = 1, θ = 0; e² = (1 − x)² + x(sinθ/cos(θ/2))² is not
-        e = math.hypot(1 - x, math.sqrt(x) * math.sin(theta) / math.cos(theta / 2))
-    if e == 0.0:
-        raise DegenerateSplittingError("Omega0 = 0 at x = 1, theta = 0")
+    _, e, _ = dimensionless_params(x, theta)
     theta_bar = math.atan2(math.sin(theta), math.cos(theta) - x)
-    Delta = theta_bar - theta
-    return RotatingFrameSolution(
-        theta_bar=theta_bar,
-        Omega0=e,
-        a_plus=-math.sin(Delta / 2),
-        a_minus=math.cos(Delta / 2),
-        d=d,
-        e=e,
-        g=math.cos(Delta),
-    )
+    half = (theta_bar - theta) / 2
+    return RotatingFrameSolution(theta_bar=theta_bar, Omega0=e, a_plus=-math.sin(half),
+                                 a_minus=math.cos(half))
 
 
 def exact_S(x: float, theta: float, tau) -> complex:
     """Exact persistence factor S(τ), real and imaginary parts assembled
     term by term from the rotating-frame solution."""
-    sol = solve_rotating_frame(x, theta)
-    hd, he = sol.d * np.asarray(tau) / 2, sol.e * np.asarray(tau) / 2
-    re = np.cos(hd) * np.cos(he) + sol.g * np.sin(hd) * np.sin(he)
-    im = -np.sin(hd) * np.cos(he) + sol.g * np.cos(hd) * np.sin(he)
+    d, e, g = dimensionless_params(x, theta)
+    hd, he = d * np.asarray(tau) / 2, e * np.asarray(tau) / 2
+    re = np.cos(hd) * np.cos(he) + g * np.sin(hd) * np.sin(he)
+    im = -np.sin(hd) * np.cos(he) + g * np.cos(hd) * np.sin(he)
     return re + 1j * im
 
 
@@ -116,5 +125,5 @@ def phase_branch(u, g):
 def exact_rho(x: float, theta: float, tau):
     """Continuous phase of S(τ) from ρ(0) = 0, τ a float or an array:
     S = e^{−idτ/2}(cos(eτ/2) + i·g·sin(eτ/2)), so ρ = −dτ/2 + phase_branch(eτ/2, g)."""
-    sol = solve_rotating_frame(x, theta)
-    return -sol.d * tau / 2 + phase_branch(sol.e * tau / 2, sol.g)
+    d, e, g = dimensionless_params(x, theta)
+    return -d * tau / 2 + phase_branch(e * tau / 2, g)

@@ -23,8 +23,9 @@ _LAGRANGE = np.transpose([np.polyint(np.poly(o) / np.prod(s - o)) for s, o in zi
 
 
 def _not_a_knot(x, y):
-    """PPoly coefficients of the not-a-knot cubic spline of y's rows at x, in CubicSpline's
-    arithmetic: knot slopes from one banded solve (ValueError if not finite), Hermite cubics."""
+    """PPoly coefficients of the not-a-knot cubic spline of y's columns (θ, φ, R) at x, in
+    CubicSpline's arithmetic (knot slopes from one banded solve, ValueError if not finite;
+    Hermite cubics), then of the first two's rates θ̇, φ̇, with a zero cubic term."""
     h, d0, d1 = np.diff(x), x[2] - x[0], x[-1] - x[-3]
     hc, slope = h[:, None], np.diff(y, axis=0) / h[:, None]
     bands = [np.r_[0.0, d0, h[:-1]], np.r_[h[1], 2 * (h[:-1] + h[1:]), h[-2]], np.r_[h[1:], d1, 0]]
@@ -33,7 +34,9 @@ def _not_a_knot(x, y):
     last = (hc[-1] ** 2 * slope[-2] + (2 * d1 + hc[-1]) * hc[-2] * slope[-1]) / d1
     s = solve_banded((1, 1), bands, np.vstack([first, inner, last]))
     t = (s[:-1] + s[1:] - 2 * slope) / hc
-    return np.stack([t / hc, (slope - s[:-1]) / hc - t, s[:-1], y[:-1]])
+    c = np.stack([t / hc, (slope - s[:-1]) / hc - t, s[:-1], y[:-1]])
+    rates = c[:3, :, :2] * [[[3.0]], [[2.0]], [[1.0]]]
+    return np.concatenate([c, np.concatenate([np.zeros_like(rates[:1]), rates])], axis=2)
 
 
 class SampledPath:
@@ -41,8 +44,8 @@ class SampledPath:
 
     Time is measured from the first sample: ``self.t`` starts at 0 and every
     method takes window-relative times in [0, ``duration``] (``t_max``). Derivatives θ̇, φ̇
-    come from the interpolant. Samples must be finite, with strictly
-    increasing t, R > 0, and θ strictly inside (0, π).
+    come from the interpolant. Samples must be finite, with strictly increasing t, and the
+    interpolant must keep R > 0 and θ strictly inside (0, π) between them as well.
     """
 
     def __init__(self, t, theta, phi, R):
@@ -65,23 +68,23 @@ class SampledPath:
             raise GaugeSingularityError("sampled paths require theta strictly in (0, pi)")
         self.t = t - t[0]
         self.duration = self.t_max = float(self.t[-1])
-        # one piecewise cubic over (θ, φ, R, θ̇, φ̇), the rates' with a zero cubic term
-        c = _not_a_knot(self.t, columns)
-        rates = c[:3, :, :2] * [[[3.0]], [[2.0]], [[1.0]]]
-        rates = np.concatenate([np.zeros_like(rates[:1]), rates])
-        self._spline = PPoly.construct_fast(np.concatenate([c, rates], axis=2), self.t)
+        c = _not_a_knot(self.t, columns)  # one piecewise cubic over (θ, φ, R, θ̇, φ̇)
+        c0, c1, c2, c3 = c[:, :, [0, 2]]  # θ's and R's, at the real roots of each p′ in its piece
+        with np.errstate(all="ignore"):  # a root that is missing is NaN or ±inf: it goes to an end
+            q = -(c1 + np.copysign(np.sqrt(c1 * c1 - 3 * c0 * c2), c1))
+            s = np.fmin(np.fmax([q / (3 * c0), c2 / q], 0.0), np.diff(self.t)[:, None])
+        values = ((c0 * s + c1) * s + c2) * s + c3
+        bad = ~((values > 0) & (values < [math.pi, math.inf]))
+        if np.any(bad):
+            k, j, r = np.argwhere(bad.transpose(2, 1, 0))[0]  # θ first, then the earliest
+            raise (GaugeSingularityError, ValueError)[k](
+                f"{('theta', 'R')[k]}(t={self.t[j] + s[r, j, k]}) = {values[r, j, k]} is outside "
+                f"{('(0, pi)', 'R > 0')[k]}: the spline leaves it between samples")
+        self._spline = PPoly.construct_fast(c, self.t)
 
     def state(self, t):
-        """(θ, φ, R, θ̇, φ̇) in the shape of t, from one spline evaluation. Raises
-        GaugeSingularityError where the interpolated θ leaves (0, π)."""
-        values = self._spline(t)
-        theta = values[..., 0].ravel()
-        bad = ~((theta > 0) & (theta < math.pi))
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise GaugeSingularityError(
-                f"theta(t={np.ravel(t)[i]}) = {theta[i]} outside (0, pi)")
-        return tuple(np.moveaxis(values, -1, 0))
+        """(θ, φ, R, θ̇, φ̇) in the shape of t, from one spline evaluation."""
+        return tuple(np.moveaxis(self._spline(t), -1, 0))
 
     def integral(self, rate) -> PPoly:
         """∫₀ᵗ rate(state): on ⌈128/(samples − 1)⌉ equal pieces of each sample interval, the exact

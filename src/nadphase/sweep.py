@@ -25,7 +25,7 @@ from operator import mul
 
 import numpy as np
 
-from .rotating import phase_branch
+from .rotating import _dimensionless, dimensionless_params, phase_branch
 
 FIRST_ITERATION_C1 = 0.25
 FIRST_ITERATION_C2 = 1.0 / 3.0
@@ -46,8 +46,6 @@ class SweepConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
         if not 0 < self.x_f < 1:
             raise ValueError(f"x_f must lie in (0, 1), got {self.x_f}")
         if not 2 <= self.grid <= MAX_GRID:
@@ -56,7 +54,8 @@ class SweepConfig:
             raise ValueError(f"cycle count s must be finite and positive, got {self.s}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if max(1.0, _params(self.x_f, math.cos(self.theta))[1]) * self.s / self.x_f > MAX_POLES:
+        # dimensionless_params refuses a θ outside [0, π]
+        if max(1.0, dimensionless_params(self.x_f, self.theta)[1]) * self.s / self.x_f > MAX_POLES:
             raise ValueError(f"s/x_f = {self.s / self.x_f:.4g}: over {MAX_POLES} tangent poles")
 
     @property
@@ -78,23 +77,10 @@ class PhaseCurve:
     rho_berry: np.ndarray
 
 
-def _params(x, cos_t, sqrt=math.sqrt):
-    """d = 1 − x cosθ, e = √(1 − 2x cosθ + x²), g = d/e, de/dx and dg/dx in
-    units 2R = 1; scalar ``math`` by default, ``sqrt=np.sqrt`` for arrays."""
-    d = 1 - x * cos_t
-    e = sqrt(1 - 2 * x * cos_t + x**2)
+def _params(x, cos_t, e, g):
+    """de/dx and dg/dx = (−cosθ − g·de/dx)/e at x, from e and g there (``dimensionless_params``)."""
     dedx = (x - cos_t) / e
-    dgdx = (-cos_t * e**2 - d * (x - cos_t)) / e**3
-    return d, e, d / e, dedx, dgdx
-
-
-def dimensionless_params(x, theta):
-    """(d, e, g) at scalar or array x, in units 2R = 1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d, e, g, _, _ = _params(np.asarray(x, dtype=float), np.cos(theta), np.sqrt)
-    if np.any(e == 0):
-        raise ValueError("degenerate splitting e = 0 (x = 1, theta = 0)")
-    return d, e, g
+    return dedx, (-cos_t - g * dedx) / e
 
 
 def epsilon_unwrap(cfg: SweepConfig, x):
@@ -113,10 +99,11 @@ def _epsilon_rhs(cfg: SweepConfig):
     """dε/dx at fixed τ, from differentiating tan(ετ/2) = g·tan(eτ/2), as a float
     of the floats x and ε (plain ``math``, no arrays)."""
     tau = cfg.tau
-    cos_t = math.cos(cfg.theta)
+    cos_t, params = math.cos(cfg.theta), _dimensionless(cfg.theta)
 
     def rhs(x, eps):
-        _, e, g, dedx, dgdx = _params(x, cos_t)
+        _, e, g = params(x)
+        dedx, dgdx = _params(x, cos_t, e, g)
         half_e = e * tau / 2
         cos_eps_sq = math.cos(eps * tau / 2) ** 2
         return ((2 / tau) * cos_eps_sq * dgdx * math.tan(half_e)
@@ -188,7 +175,7 @@ def _tangent_poles(cfg: SweepConfig) -> list[float]:
     """
     tau = cfg.tau
     cos_t = math.cos(cfg.theta)
-    e_max = max(1.0, _params(cfg.x_f, cos_t)[1])
+    e_max = max(1.0, dimensionless_params(cfg.x_f, cfg.theta)[1])
     roots = []
     for k in range(math.floor((e_max * tau / math.pi - 1) / 2) + 1):
         disc = cos_t * cos_t - 1 + ((2 * k + 1) * math.pi / tau) ** 2
@@ -215,7 +202,8 @@ def figure1_dataset(cfg: SweepConfig | None = None) -> PhaseCurve:
     segments = []
     lo = 0.0
     for pole in _tangent_poles(cfg):
-        slope = abs(_params(pole, cos_t)[3]) * tau / 2
+        _, e, g = dimensionless_params(pole, cfg.theta)
+        slope = abs(_params(pole, cos_t, e, g)[0]) * tau / 2
         margin = min(max(0.05 / max(slope, 1e-9), 1e-6), 0.05 * cfg.x_f)
         segments.append((lo, pole - margin))
         lo = pole + margin
@@ -258,12 +246,12 @@ def rho_berry_comparison(x, theta, omega_t):
 
 def first_iteration_epsilon(cfg: SweepConfig, xs):
     """First iteration of the sweep ODE, ε₁(x) = 1 + ∫₀ˣ g·(de/dx′) dx′, in closed form:
-    with c = cosθ, s = |sinθ| and u = x′ − c the integrand is −c + s²u/(u² + s²) + cs²/(u² + s²),
+    with c = cosθ, s = sinθ ≥ 0 and u = x′ − c the integrand is −c + s²u/(u² + s²) + cs²/(u² + s²),
     so ε₁ = 1 − cx + s²·ln e(x) + cs·[atan2(x − c, s) + atan2(c, s)], a function of c alone.
     """
     xs = np.asarray(xs, dtype=float)
-    c, s = math.cos(cfg.theta), abs(math.sin(cfg.theta))
-    e = _params(xs, c, np.sqrt)[1]
+    c, s = math.cos(cfg.theta), math.sin(cfg.theta)
+    e = dimensionless_params(xs, cfg.theta)[1]
     return 1 - c * xs + s**2 * np.log(e) + c * s * (np.arctan2(xs - c, s) + np.arctan2(c, s))
 
 

@@ -46,10 +46,10 @@ def report(criterion, ok, detail):
 
 def ripple(x, theta, tau):
     """Tangent-branch term T of the exact phase ρ = (e − d)τ/2 + T."""
-    sol = rotating.solve_rotating_frame(x, theta)
-    u = sol.e * tau / 2
+    _, e, g = rotating.dimensionless_params(x, theta)
+    u = e * tau / 2
     v = u - round(u / math.pi) * math.pi
-    return math.atan2(sol.g * math.sin(v), math.cos(v)) - v
+    return math.atan2(g * math.sin(v), math.cos(v)) - v
 
 
 @pytest.fixture(scope="module")

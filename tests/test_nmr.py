@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from nadphase import nmr
+from nadphase import engine, nmr
 from nadphase._fmt import csv_text
-from nadphase.sweep import dimensionless_params
+from nadphase.paths import PrecessingPath, make_kernel
+from nadphase.rotating import dimensionless_params
 
 THETA60 = math.radians(60.0)
 TAU_REF = 2 * math.pi / 0.3
@@ -80,6 +81,22 @@ class TestMagnetizationExact:
         for n in (0, -3, 2.0, True, np.array([1, 0, 2]), np.array([1.0, 2.0])):
             with pytest.raises(ValueError):
                 nmr.magnetization(0.3, THETA60, n)
+
+
+@pytest.mark.parametrize("theta", [3e-8, 1e-7, 1e-6, 1e-5, 1e-4])
+@pytest.mark.parametrize("eta", [1e-7, 1e-6, 1e-5, 1e-4])
+def test_closed_form_meets_the_engine_near_x_1_theta_0(eta, theta):
+    # There 1 − 2x cosθ + x² cancels; the engine steps on δ and Γ₋, which do not. Its
+    # M⊥ = (P₋ + T₊)(P₊ + T₋)*, and arg_exact from the dominant term M⊥ − |T₋|² (principal: small)
+    x = 1 - eta
+    path = PrecessingPath.dimensionless(x, theta)
+    traj = engine.evolve(make_kernel(path), 2 * math.pi * 100 / x, tol=1e-12)
+    for n in (1, 3, 100):
+        res = engine.assemble(traj, path, 2 * math.pi * n / x)
+        M_perp = (res.P_minus + res.T_plus) * np.conj(res.P_plus + res.T_minus)
+        closed, arg_exact, _, _ = nmr.magnetization(x, theta, n)
+        assert abs(closed - M_perp) <= 1e-10, n
+        assert abs(arg_exact - np.angle(M_perp - abs(res.T_minus) ** 2)) <= 1e-10, n
 
 
 class TestMagnetizationApprox:

@@ -21,6 +21,7 @@ from nadphase.paths import (
     load_path_csv,
     make_kernel,
 )
+from nadphase.sampled import _not_a_knot
 
 
 def wobble_path(t_max=3.0, n=601):
@@ -497,17 +498,18 @@ class TestSharedEvaluation:
 @given(spacings=st.lists(st.floats(1e-3, 10.0), min_size=3, max_size=800),
        seed=st.integers(0, 2**32 - 1))
 def test_spline_coefficients_are_cubic_splines(spacings, seed):
-    # the path spline's (θ, φ, R) coefficients and its rates' are CubicSpline's, bit for bit
+    # the path spline's (θ, φ, R) coefficients and its rates' are CubicSpline's, bit for bit.
+    # Random samples like these leave (0, π) between them, which SampledPath refuses, so the
+    # coefficients are built directly
     t = np.concatenate([[0.0], np.cumsum(spacings)])
     rng = np.random.default_rng(seed)
     columns = np.column_stack([rng.uniform(0.2, 2.9, len(t)), rng.normal(0.0, 5.0, len(t)),
                                rng.uniform(0.1, 2.0, len(t))])
-    spline = SampledPath(t, *columns.T)._spline
+    c = _not_a_knot(t, columns)
     oracle = CubicSpline(t, columns)
-    np.testing.assert_array_equal(spline.x, oracle.x)
-    np.testing.assert_array_equal(spline.c[:, :, :3], oracle.c)
-    np.testing.assert_array_equal(spline.c[1:, :, 3:], oracle.derivative().c[:, :, :2])
-    np.testing.assert_array_equal(spline.c[0, :, 3:], 0.0)
+    np.testing.assert_array_equal(c[:, :, :3], oracle.c)
+    np.testing.assert_array_equal(c[1:, :, 3:], oracle.derivative().c[:, :, :2])
+    np.testing.assert_array_equal(c[0, :, 3:], 0.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the spline system
@@ -547,13 +549,16 @@ class TestPathValidation:
         assert path.state(1.0) == pytest.approx(reference.state(1.0), abs=1e-13)
 
     def test_gauge_check_on_interpolant(self):
+        # every sample is inside (0, π), but the cubic between t = 3 and 4 overshoots π
         ts = np.arange(8.0)
-        path = SampledPath(ts, [1.0, 1.0, 1.0, 3.14, 3.14, 1.0, 1.0, 1.0], 0.3 * ts,
-                           np.full(8, 0.5))
-        with pytest.raises(GaugeSingularityError):
-            path.state(3.5)
-        with pytest.raises(GaugeSingularityError):
-            make_kernel(path)
+        with pytest.raises(GaugeSingularityError, match=r"theta\(t=3.5\) = 3.56"):
+            SampledPath(ts, [1.0, 1.0, 1.0, 3.14, 3.14, 1.0, 1.0, 1.0], 0.3 * ts, np.full(8, 0.5))
+
+    def test_spline_dipping_below_r_0_is_refused(self):
+        # R = 0.01 at t = 1.1 pulls the cubic on [1.1, 2] down to R ≈ −1.07
+        ts = np.array([0.0, 1.0, 1.1, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match=r"R\(t=1\.38\d*\) = -1\.07"):
+            SampledPath(ts, np.ones(6), ts / 2, [1.0, 1.0, 0.01, 1.0, 1.0, 1.0])
 
     def test_sampled_rejects_gauge_violations(self):
         ts = np.linspace(0.0, 1.0, 10)

@@ -1,5 +1,7 @@
 import cmath
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,12 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nadphase.rotating import (
     DegenerateSplittingError,
+    dimensionless_params,
     exact_S,
     exact_rho,
     propagate_exact,
     solve_rotating_frame,
 )
-from nadphase.sweep import dimensionless_params
 
 THETA60 = math.radians(60.0)
 TAU_REF = 2 * math.pi / 0.3
@@ -30,9 +32,10 @@ class TestRotatingFrame:
         sol = solve_rotating_frame(0.3, THETA60)
         assert math.tan(sol.theta_bar) == pytest.approx(0.86602540378444 / 0.2, rel=1e-12)
         assert sol.theta_bar == pytest.approx(1.3438352477532259, abs=1e-12)
-        assert sol.g == pytest.approx(0.95632471578712032, abs=1e-12)
-        d, e, _ = dimensionless_params(0.3, THETA60)
-        assert sol.g == pytest.approx(d / e, abs=1e-12)
+        # g = d/e is cos Δθ of the rotating-frame geometry
+        d, e, g = dimensionless_params(0.3, THETA60)
+        assert g == pytest.approx(0.95632471578712032, abs=1e-12)
+        assert math.cos(sol.theta_bar - THETA60) == pytest.approx(d / e, abs=1e-12)
 
     def test_fast_drive_tips_backward(self):
         assert solve_rotating_frame(50.0, THETA60).theta_bar > 3.0
@@ -50,6 +53,43 @@ class TestRotatingFrame:
         # Rabi frequency from detuning and coupling: Omega0 = sqrt(d^2 + 4C^2)
         assert abs(sol.Omega0 - math.hypot(d, x * math.sin(theta))) <= 1e-14
         assert abs(sol.Omega0 - e) <= 1e-14
+
+
+class TestDimensionlessParams:
+    @settings(max_examples=200)
+    @given(eta=st.floats(1e-12, 1e-2), theta=st.floats(1e-12, 1e-3), above=st.booleans())
+    def test_digits_kept_near_x_1_theta_0(self, eta, theta, above):
+        # exact rationals of the float inputs, with 1 − cosθ from its series to θ⁶ (the rest is
+        # below θ⁸/8! ≤ 3e-29 of it): 1 − 2x cosθ + x² loses up to every digit here
+        x = 1 + eta if above else 1 - eta
+        X, T = Fraction(x), Fraction(theta)
+        one_minus_cos = T**2 / 2 - T**4 / 24 + T**6 / 720
+        D, E2 = (1 - X) + X * one_minus_cos, (1 - X) ** 2 + 2 * X * one_minus_cos
+        with localcontext() as ctx:
+            ctx.prec = 40
+            E = (Decimal(E2.numerator) / Decimal(E2.denominator)).sqrt()
+            G = Decimal(D.numerator) / Decimal(D.denominator) / E
+        d, e, g = dimensionless_params(x, theta)
+        assert abs(Decimal(e) - E) <= Decimal(1e-15) * E
+        assert abs(Decimal(g) - G) <= Decimal(1e-15)
+
+    def test_arrays_take_the_float_values(self):
+        xs = np.array([0.0, 0.3, 1 - 1e-9, 1.0, 2.0, 1e10])
+        for theta in (0.1, THETA60, math.pi):
+            rows = np.array([dimensionless_params(float(x), theta) for x in xs]).T
+            np.testing.assert_allclose(dimensionless_params(xs, theta), rows, rtol=4e-16, atol=0)
+
+    @pytest.mark.parametrize("x, theta", [(-1e-300, 1.0), (math.nan, 1.0), (0.3, -1e-300),
+                                          (0.3, math.pi + 1e-12), (0.3, math.nan),
+                                          (np.array([0.2, -0.1]), 1.0)])
+    def test_domain(self, x, theta):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            dimensionless_params(x, theta)
+
+    def test_degenerate_only_at_x_1_theta_0(self):
+        with pytest.raises(DegenerateSplittingError):
+            dimensionless_params(np.array([0.5, 1.0]), 0.0)
+        assert dimensionless_params(1.0, 5e-324)[1] == 5e-324
 
 
 class TestExactS:
@@ -137,7 +177,7 @@ class TestExactRho:
     def test_negative_detuning_turns_backward(self):
         # x = 2, theta = 30 deg: d < 0 and g < 0, the phase winds the other way
         x, theta = 2.0, math.radians(30.0)
-        assert solve_rotating_frame(x, theta).g < 0
+        assert dimensionless_params(x, theta)[2] < 0
         tau = 2 * math.pi * 7 / x
         dense = np.unwrap(np.angle(exact_S(x, theta, np.linspace(0.0, tau, 20000))))[-1]
         assert abs(exact_rho(x, theta, tau) - dense) <= 1e-10
