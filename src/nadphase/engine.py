@@ -34,7 +34,7 @@ SERIES_QUAD_TOL = 1e-12  # series_persistence refines its grid until two estimat
 
 
 class StepFailureError(RuntimeError):
-    """Step doubling missed ``tol`` by MAX_STEPS, or a kernel value was not finite."""
+    """Step doubling missed ``tol`` by MAX_STEPS, or a later level's kernel value was not finite."""
 
 
 @dataclass(frozen=True)
@@ -169,16 +169,19 @@ def evolve(kernel: CouplingKernel, t_end: float, tol: float = 1e-10) -> Trajecto
     the frame turning at w, the mean δ over the first level's Gauss nodes. n doubles
     from 256 until the error estimate of the 2n-step solution ψ, max|ψ₂ₙ − ψₙ|/15 over
     common nodes, is at most ``tol`` and no step turns by more than π/2, which keeps
-    ρ unwrapped over the nodes continuous. Raises StepFailureError, naming a time, on a
-    kernel value that is not finite or when MAX_STEPS steps do not get there. A level calls
-    each kernel member once, on the read-only array of its Gauss nodes; t_end = 0 is one node."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    ρ unwrapped over the nodes continuous. A step turns by about h·e/2, e = hypot(w,
+    2·max|F|) on the first level, so n ≥ e·t_end/π. Before any step, raises ValueError on
+    a first-level kernel value that is not finite (naming t), on e·t_end/π over MAX_STEPS
+    and on e² or t_end² not finite (a step squares both); later, StepFailureError, naming a
+    time, on a kernel value that is not finite or when MAX_STEPS steps do not get there. A
+    level calls each kernel member once, on the read-only array of its Gauss nodes."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if not 0 <= t_end < math.inf:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
     if t_end > kernel.t_max:
         raise ValueError(f"t_end = {t_end} runs past the path's last sample at {kernel.t_max}")
-    if t_end == 0:  # one node, S = 1 and I = 0, with nothing to step
+    if t_end == 0:  # one node, S = 1 and I = 0, with nothing to step and no budget to check
         stats = dict.fromkeys(["steps", "doublings", "kernel_calls", "kernel_points"], 0)
         return Trajectory(kernel, np.zeros(1), np.eye(2, 1, dtype=complex), np.zeros((4, 0, 2)),
                           tol, stats | dict.fromkeys(["error_estimate", "unitarity_defect_max",
@@ -188,12 +191,19 @@ def evolve(kernel: CouplingKernel, t_end: float, tol: float = 1e-10) -> Trajecto
         ts = np.linspace(0.0, t_end, n + 1)
         nodes = gauss_nodes(ts[:-1], t_end / n)
         nodes.flags.writeable = False  # lets a kernel share one path evaluation over the level
-        F = np.broadcast_to(np.asarray(kernel.F(nodes), dtype=complex), nodes.shape)
-        rates = _phase_rates(kernel, nodes)
+        with np.errstate(over="ignore", invalid="ignore"):  # a value not finite is named below
+            F = np.broadcast_to(np.asarray(kernel.F(nodes), dtype=complex), nodes.shape)
+            rates = _phase_rates(kernel, nodes)
         bad = ~(np.isfinite(F) & np.all(np.isfinite(rates), axis=0))
         if np.any(bad):
-            raise StepFailureError(f"kernel value not finite at t = {nodes.flat[np.argmax(bad)]}")
-        w = float(np.mean(rates[3])) if coarse is None else w  # fixed for the run
+            error = ValueError if coarse is None else StepFailureError
+            raise error(f"kernel value not finite at t = {nodes.flat[np.argmax(bad)]}")
+        if coarse is None:  # the first level fixes w for the run, and the step budget
+            w = float(np.mean(rates[3]))
+            e = math.hypot(w, 2 * float(np.max(np.abs(F))))
+            if not (e * t_end / math.pi <= MAX_STEPS and math.isfinite(e * e + t_end * t_end)):
+                raise ValueError(f"e = {e:.4g} and t_end = {t_end:.4g} need e*t_end/pi <= "
+                                 f"{MAX_STEPS} steps, and e*e and t_end*t_end finite")
         da, b, r = _magnus_steps(F, t_end / n, w)
         da, b = _prefix_products(da, b)
         psi = np.column_stack([[1.0, 0.0], np.stack([1.0 + np.conj(da), b])])

@@ -240,14 +240,17 @@ def check_coupling_finite_difference(tol: float) -> list[dict]:
 
 
 def check_reconstruction(tol: float) -> list[dict]:
-    """Assembled P- against the exact propagator's P- (``nmr.exact_amplitudes``)."""
+    """Assembled P±, T± against the exact propagator's (``nmr.exact_amplitudes``)."""
     x, theta = 0.3, math.radians(60.0)
     path = PrecessingPath.dimensionless(x, theta)
     t_end = GRID_CYCLES * 2 * math.pi / x
     traj = engine.evolve(make_kernel(path), t_end, tol=tol)
-    err = max(abs(engine.assemble(traj, path, t).P_minus - nmr.exact_amplitudes(x, theta, t)[0])
-              for t in np.linspace(0.0, t_end, 61))
-    return [_check("reconstruction_p_minus", err, 1e-8)]
+    err = 0.0
+    for t in np.linspace(0.0, t_end, 61):
+        res = engine.assemble(traj, path, t)
+        ours = (res.P_minus, res.P_plus, res.T_minus, res.T_plus)
+        err = max(err, float(np.max(np.abs(np.subtract(ours, nmr.exact_amplitudes(x, theta, t))))))
+    return [_check("reconstruction_amplitudes", err, 1e-8)]
 
 
 def check_rho_cross_module(tol: float) -> list[dict]:

@@ -64,6 +64,10 @@ class TestEvolveCommand:
                       "--out", str(out))
         assert res.returncode == 0, res.stderr
         assert out.read_text().splitlines()[1:] == ["0,1,0,0,0,0,1,0"]
+        # e² overflows at x = 1e300, but τ = 0 is one node: no step, and no step budget
+        assert cli.main(["evolve", "--theta-deg", "60", "--x", "1e300", "--tau", "0",
+                         "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == ["0,1,0,0,0,0,1,0"]
 
     def test_long_precession_runs(self, tmp_path):
         # the steps follow a precession exactly, so 4,000 time units take 2,048
@@ -520,7 +524,7 @@ def _evolve_path(rows, tau):
 
 @pytest.mark.parametrize("name", sorted(CANNOT_CARRY))
 def test_a_path_the_spline_or_the_steps_cannot_carry_exits_2_before_any_step(name, monkeypatch):
-    monkeypatch.setattr(engine, "evolve", None)  # any step would raise and exit 3
+    monkeypatch.setattr(engine, "_magnus_steps", None)  # any step would raise and exit 3
     code, err, _ = _evolve_path(*CANNOT_CARRY[name])
     assert code == 2 and "configuration error" in err, err
 

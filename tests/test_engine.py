@@ -66,8 +66,17 @@ class TestEvolve:
 
     def test_rejects_bad_tol(self):
         kernel = make_kernel(PrecessingPath.dimensionless(0.1, THETA60))
-        with pytest.raises(ValueError):
-            engine.evolve(kernel, 1.0, tol=0.0)
+        for tol in (0.0, -math.inf, math.nan, math.inf):  # nan ran 2¹⁹ steps; inf was accepted
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                engine.evolve(kernel, 1.0, tol=tol)
+
+    def test_refuses_a_run_over_the_step_budget_before_any_step(self):
+        # e·t_end/π ≈ 2.8e11 quarter turns, far past MAX_STEPS: refused before a step is taken
+        kernel = make_kernel(PrecessingPath.dimensionless(0.3, math.pi / 3))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"<= {engine.MAX_STEPS} steps"):
+            engine.evolve(kernel, 1e12)
+        assert time.perf_counter() - start <= 0.05
 
     @pytest.mark.parametrize("t_end", [math.inf, math.nan, -5.0])
     def test_rejects_bad_end_time(self, t_end):
@@ -633,12 +642,24 @@ class TestStepDoubling:
             delta=lambda t: 1.0 + 0 * t,
             gamma_rates=lambda t: (0 * t, 0 * t),
         )
-        start = time.perf_counter()
-        with pytest.raises(engine.StepFailureError, match="not finite at t = ") as info:
+        start = time.perf_counter()  # the first level's nodes reach the NaN: refused before a step
+        with pytest.raises(ValueError, match="not finite at t = ") as info:
             engine.evolve(nan_after, 1.0)
         assert time.perf_counter() - start <= 1.0
         t_bad = float(re.search(r"t = (\S+)", str(info.value)).group(1))
         assert 0.3 <= t_bad <= 0.3 + 1.0 / engine._FIRST_STEPS
+
+    def test_non_finite_kernel_past_the_first_level_fails_the_step(self):
+        # the NaN lies between the nodes of the first three levels, so only step doubling meets it
+        chirp = CouplingKernel(
+            F=lambda t: np.where(abs(t - 0.5) < 2e-4, np.nan, 5 * np.exp(50j * t**2)),
+            delta=lambda t: 1.0 + 0 * t,
+            gamma_rates=lambda t: (0 * t, 0 * t),
+        )
+        with pytest.raises(engine.StepFailureError, match="not finite at t = ") as info:
+            engine.evolve(chirp, 1.0, tol=1e-12)
+        t_bad = float(re.search(r"t = (\S+)", str(info.value)).group(1))
+        assert abs(t_bad - 0.5) < 2e-4
 
     def test_step_budget_names_the_pole(self):
         pole = CouplingKernel(

@@ -1,6 +1,10 @@
+import dataclasses
 import math
 
-from nadphase import cli, validate
+import numpy as np
+import pytest
+
+from nadphase import cli, engine, validate
 
 
 def test_fails_exactly_the_two_first_iteration_checks():
@@ -23,3 +27,25 @@ def test_evolve_csv_and_validate_report_repeat_byte_for_byte(tmp_path):
         outputs.append((csv.read_bytes(), report.read_bytes()))
     assert outputs[0] == outputs[1]
     assert b"steps" not in outputs[0][0] and b"error_estimate" not in outputs[0][1]
+
+
+# One-line defects of engine.assemble that the reconstruction check must see; with P₋ alone,
+# validate failed only its two designed checks on each
+ASSEMBLE_DEFECTS = {
+    "T_minus_sign": lambda res, S: {"T_minus": -res.T_minus},
+    "P_plus_from_S": lambda res, S: {"P_plus": res.P_plus * S / np.conj(S)},
+    "T_plus_sign": lambda res, S: {"T_plus": -res.T_plus},
+}
+
+
+@pytest.mark.parametrize("defect", sorted(ASSEMBLE_DEFECTS))
+def test_reconstruction_sees_each_amplitude(defect, monkeypatch):
+    assemble = engine.assemble
+
+    def broken(traj, path, t):
+        res, S = assemble(traj, path, t), complex(traj.amplitudes(t)[0])
+        return dataclasses.replace(res, **ASSEMBLE_DEFECTS[defect](res, S))
+
+    monkeypatch.setattr(engine, "assemble", broken)
+    [check] = validate.check_reconstruction(1e-10)
+    assert check["name"] == "reconstruction_amplitudes" and not check["pass"], check
